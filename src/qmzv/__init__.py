@@ -31,7 +31,7 @@ from .words import (
     word_in_space,
     word_to_index,
 )
-from .expr import format_element, parse_element, print_element
+from .expr import format_element, parse_element
 from .products import (
     ALPHA_TABLE,
     circle,

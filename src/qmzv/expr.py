@@ -182,8 +182,3 @@ def format_element(e):
         else:
             parts.append(("- " if negative else "+ ") + body)
     return " ".join(parts)
-
-
-def print_element(e):
-    """Alias of format_element, matching the operation name."""
-    return format_element(e)

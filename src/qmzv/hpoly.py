@@ -144,16 +144,6 @@ def h_power(k):
     return HPoly((0,) * k + (1,))
 
 
-def hpoly_add(a, b):
-    """Exact sum of two HPoly values."""
-    return a + b
-
-
-def hpoly_mul(a, b):
-    """Exact product of two HPoly values."""
-    return a * b
-
-
 def hpoly_eval(p, h_value):
     """Evaluate p at h = h_value; exact when h_value is a Fraction."""
     return p.evaluate(h_value)

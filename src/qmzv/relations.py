@@ -182,8 +182,16 @@ def _strip_content(row):
     return row
 
 
-def _int_echelon(int_rows, ncols):
-    """Insertion echelon over the integers; returns {pivot column: row}."""
+# Products of two residues stay below 2^62, so elimination fits in int64.
+_PRIME = 2**31 - 1
+
+
+def _insertion_echelon(int_rows):
+    """Fraction-free insertion echelon over the integers; returns {pivot column: row}.
+
+    Rows are inserted in input order. A row that depends on the rows before it
+    reduces to zero and leaves the echelon unchanged.
+    """
     pivots = {}
     for row in int_rows:
         col = _first_nonzero(row, 0)
@@ -197,10 +205,113 @@ def _int_echelon(int_rows, ncols):
             a, b = row[col], piv[col]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            row = [mb * x - ma * y for x, y in zip(row, piv)]
+            # both rows are zero before col
+            row = [0] * col + [mb * x - ma * y for x, y in zip(row[col:], piv[col:])]
             row = _strip_content(row)
             col = _first_nonzero(row, col + 1)
     return pivots
+
+
+def _independent_rows(int_rows):
+    """Indices of the rows independent mod _PRIME of the rows before them.
+
+    These are the pivot columns of the echelon of the transposed matrix mod
+    _PRIME (the row rank profile), found by dense numpy elimination.
+    """
+    import numpy as np
+
+    at = np.array([[x % _PRIME for x in row] for row in int_rows], dtype=np.int64).T.copy()
+    live = np.arange(at.shape[0])
+    keep = []
+    for j in range(at.shape[1]):
+        hits = live[at[live, j] != 0]
+        if not hits.size:
+            continue
+        keep.append(j)
+        top, rest = hits[0], hits[1:]
+        live = live[live != top]
+        if rest.size:
+            lead = at[top, j + 1 :] * pow(int(at[top, j]), _PRIME - 2, _PRIME) % _PRIME
+            at[rest, j + 1 :] = (at[rest, j + 1 :] - at[rest, j][:, None] * lead) % _PRIME
+        if not live.size:
+            break
+    return keep
+
+
+def _reduced_tails(pivots, ncols):
+    """The reduced echelon form of an integer echelon, over one common denominator.
+
+    Returns (non, den, tails): reduced row c is 1 at column c, 0 at the other
+    pivot columns and tails[c][k] / den at column non[k]. Reduced rows of the
+    later pivots are zero at every other pivot column, so each row follows in
+    one step: R_c = (E_c[non] - sum over c' > c of E_c[c'] R_c') / E_c[c].
+    """
+    cols = sorted(pivots)
+    non = [j for j in range(ncols) if j not in pivots]
+    fracs = {}
+    for c in reversed(cols):
+        row = pivots[c]
+        upper = [(row[c2], fracs[c2]) for c2 in cols if c2 > c and row[c2]]
+        den = 1
+        for _, (d2, _) in upper:
+            den = lcm(den, d2)
+        num = [row[j] * den for j in non]
+        for f, (d2, t2) in upper:
+            k = f * (den // d2)
+            num = [x - k * y for x, y in zip(num, t2)]
+        den *= row[c]
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        fracs[c] = (den // g, [x // g for x in num])
+    den = lcm(*(d for d, _ in fracs.values()))
+    tails = {c: [x * (den // d) for x in t] for c, (d, t) in fracs.items()}
+    return non, den, tails
+
+
+def _in_span(row, non, den, tails):
+    """Whether an integer row lies in the row space given by _reduced_tails.
+
+    A row v is in that space exactly when it equals the combination of reduced
+    rows its pivot entries select: den * v[non] == sum over c of v[c] * tails[c].
+    """
+    acc = [den * row[j] for j in non]
+    for c, tail in tails.items():
+        f = row[c]
+        if f:
+            acc = [x - f * y for x, y in zip(acc, tail)]
+    return not any(acc)
+
+
+def _int_echelon(int_rows, ncols):
+    """Integer echelon of the rows in input order; returns {pivot column: row}.
+
+    With no more rows than columns this is _insertion_echelon. With more,
+    some rows are certainly dependent, and three steps avoid reducing them
+    exactly:
+
+    1. select: numpy elimination mod _PRIME finds the rows independent of the
+       rows before them;
+    2. exact: _insertion_echelon runs over those rows only;
+    3. certify: every skipped row is checked, in exact integers against the
+       reduced echelon form, to lie in the span of the selected rows.
+
+    If a skipped row fails the check (the rank mod _PRIME was lower than over
+    Q), _insertion_echelon runs over all rows instead, so the row space, rank
+    and pivot columns are always exact. The rows themselves are
+    _insertion_echelon's own unless some skipped row needs a later selected
+    row over Q; that takes _PRIME dividing a nonzero minor in just that way,
+    and the check does not rule it out.
+    """
+    if len(int_rows) <= ncols:
+        return _insertion_echelon(int_rows)
+    keep = _independent_rows(int_rows)
+    pivots = _insertion_echelon([int_rows[i] for i in keep])
+    span = _reduced_tails(pivots, ncols)
+    kept = set(keep)
+    if all(_in_span(row, *span) for i, row in enumerate(int_rows) if i not in kept):
+        return pivots
+    return _insertion_echelon(int_rows)
 
 
 def _to_int_row(frac_row):
@@ -224,22 +335,14 @@ def rref(rows):
     if any(len(r) != ncols for r in rows):
         raise ValueError("rows must have equal length")
     pivots = _int_echelon([_to_int_row(r) for r in rows], ncols)
-    cols = sorted(pivots)
-    for c in reversed(cols):
-        row = pivots[c]
-        for c2 in cols:
-            if c2 > c and row[c2]:
-                upper = pivots[c2]
-                a, b = row[c2], upper[c2]
-                g = gcd(a, b)
-                row = [(b // g) * x - (a // g) * y for x, y in zip(row, upper)]
-                row = _strip_content(row)
-        pivots[c] = row
+    non, den, tails = _reduced_tails(pivots, ncols)
     out = []
-    for c in cols:
-        row = pivots[c]
-        lead = Fraction(row[c])
-        out.append(tuple(Fraction(x) / lead for x in row))
+    for c in sorted(pivots):
+        row = [Fraction(0)] * ncols
+        row[c] = Fraction(1)
+        for j, x in zip(non, tails[c]):
+            row[j] = Fraction(x, den)
+        out.append(tuple(row))
     return tuple(out)
 
 
@@ -278,10 +381,12 @@ def element_coordinates(e, basis):
 def intersect_with_h0(generators, d, hbar_lifts=True):
     """Intersection of the generator span with the z-word part at weight d.
 
-    Orders coordinates with the non-z-part monomials first, row-reduces,
-    and keeps the echelon rows supported entirely on the z-word block;
-    those rows exactly span the intersection and are returned in reduced
-    echelon form over the index coordinates.
+    Orders coordinates with the non-z-part monomials first and row-reduces
+    every generator row with _int_echelon: independent rows are selected
+    mod a prime, only those are eliminated exactly, and the skipped rows are
+    certified to lie in their span. The echelon rows supported entirely on
+    the z-word block exactly span the intersection and are returned in
+    reduced echelon form over the index coordinates.
     """
     basis = enumerate_basis(d)
     order = [i for i, f in enumerate(basis.h0_flags) if not f]
@@ -315,18 +420,9 @@ def in_row_space(e, generators, d):
         coords = element_coordinates(g, basis)
         if any(coords):
             rows.append(_to_int_row(coords))
-    pivots = _int_echelon(rows, len(basis.monomials))
-    row = _to_int_row(element_coordinates(e, basis))
-    col = _first_nonzero(row, 0)
-    while col is not None:
-        piv = pivots.get(col)
-        if piv is None:
-            return False
-        a, b = row[col], piv[col]
-        g = gcd(a, b)
-        row = _strip_content([(b // g) * x - (a // g) * y for x, y in zip(row, piv)])
-        col = _first_nonzero(row, col + 1)
-    return True
+    ncols = len(basis.monomials)
+    span = _reduced_tails(_int_echelon(rows, ncols), ncols)
+    return _in_span(_to_int_row(element_coordinates(e, basis)), *span)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,19 @@ def test_product_parse_error_exits_2():
     assert "error" in proc.stderr
 
 
+def test_small_commands_do_not_import_numpy():
+    script = (
+        "import sys\n"
+        "import qmzv\n"
+        "from qmzv import cli\n"
+        "for argv in (['product', 'harmonic', 'z2', 'z3 z1'], ['eval', 'z2 z1'], ['dims', '--max-weight', '3']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_eval_unit():
     assert _run("eval", "1").stdout.strip() == "1 ± 0"
 

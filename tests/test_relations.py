@@ -29,6 +29,7 @@ from qmzv.relations import (
     rref,
     verify_numeric,
 )
+from qmzv.relations import _PRIME, _independent_rows, _insertion_echelon, _int_echelon
 
 E = Element.from_word
 
@@ -88,6 +89,45 @@ def test_rref_is_input_order_invariant():
     shuffled = rows[:]
     rng.shuffle(shuffled)
     assert rref(rows) == rref(shuffled)
+
+
+def test_int_echelon_equals_insertion_over_all_rows():
+    rng = random.Random(53)
+    for _ in range(30):
+        ncols = rng.randint(1, 8)
+        nrows = rng.randint(ncols + 1, 3 * ncols + 2)
+        bits = rng.choice((3, 40, 100))
+        rows = []
+        for _ in range(nrows):
+            if rows and rng.random() < 0.5:
+                # planted dependency on rows already present
+                picks = rng.sample(rows, min(len(rows), rng.randint(1, 3)))
+                coeffs = [rng.randint(-(2**bits), 2**bits) for _ in picks]
+                rows.append([sum(c * r[j] for c, r in zip(coeffs, picks)) for j in range(ncols)])
+            else:
+                rows.append([rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(ncols)])
+        assert _int_echelon(rows, ncols) == _insertion_echelon(rows)
+        # the selection is the row rank profile: the rows that grow the echelon
+        grows = [i for i in range(nrows) if len(_insertion_echelon(rows[: i + 1])) > len(_insertion_echelon(rows[:i]))]
+        assert _independent_rows(rows) == grows
+
+
+def test_int_echelon_falls_back_when_the_prime_loses_rank():
+    # rank 1 mod the prime, rank 2 over Q: certification must fail and the
+    # exact loop over all rows must give the answer
+    rows = [[1, 0], [1, _PRIME], [2, 0]]
+    assert _int_echelon(rows, 2) == _insertion_echelon(rows) == {0: [1, 0], 1: [0, 1]}
+
+
+def test_int_echelon_keeps_the_row_space_when_a_skipped_row_needs_a_later_row():
+    # the third row is the first plus the second mod the prime but needs the
+    # fourth over Q; it lies in the span of the selected rows, so no fallback
+    # runs and only the stored rows may differ from the plain loop's
+    p = _PRIME
+    rows = [[1, 0, 0, 0], [0, 0, 1, 0], [1, p, 1 + p, p], [0, 1, 1, 1], [0, 0, 0, 0]]
+    got, plain = _int_echelon(rows, 4), _insertion_echelon(rows)
+    assert sorted(got) == sorted(plain)
+    assert rref(list(got.values())) == rref(list(plain.values())) == rref(rows)
 
 
 def test_enumerate_basis_small():
