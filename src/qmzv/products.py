@@ -17,6 +17,7 @@ from .hpoly import H, HPoly, ONE, h_power
 from .words import (
     XI,
     Element,
+    _accumulate,
     _raw,
     contract_to_a,
     decompose_h0hat,
@@ -39,6 +40,25 @@ def _prefix_x(u, e):
     return _raw({u + w: c for w, c in e.terms.items()})
 
 
+def _add_scaled(out, e, c):
+    """Accumulate c * e into the term dict out; skips the multiplies when c is 1."""
+    if c == ONE:
+        for w, p in e.terms.items():
+            _accumulate(out, w, p)
+    else:
+        for w, p in e.terms.items():
+            _accumulate(out, w, p * c)
+
+
+def _bilinear(e1, e2, word_product, cache):
+    """Bilinear extension of a memoised word-pair product to two elements."""
+    out = {}
+    for w1, c1 in e1.terms.items():
+        for w2, c2 in e2.terms.items():
+            _add_scaled(out, word_product(w1, w2, cache), c1 * c2)
+    return _raw(out)
+
+
 def circle(a, b):
     """The commutative product on the span of single letters.
 
@@ -56,13 +76,7 @@ def circle(a, b):
 
 def harmonic(e1, e2, cache=None):
     """The quasi-shuffle product on A-elements, bilinear with unit 1."""
-    if cache is None:
-        cache = {}
-    out = Element()
-    for w1, c1 in e1.terms.items():
-        for w2, c2 in e2.terms.items():
-            out = out + _harmonic_words(w1, w2, cache).scale(c1 * c2)
-    return out
+    return _bilinear(e1, e2, _harmonic_words, {} if cache is None else cache)
 
 
 def _harmonic_words(w1, w2, cache):
@@ -105,13 +119,7 @@ def shuffle_x(e1, e2, cache=None):
     Defined by the letter recursion
     uw sh vw' = u(w sh vw') + v(uw sh w') + alpha(u,v)(w sh w').
     """
-    if cache is None:
-        cache = {}
-    out = Element()
-    for w1, c1 in e1.terms.items():
-        for w2, c2 in e2.terms.items():
-            out = out + _shuffle_words(w1, w2, cache).scale(c1 * c2)
-    return out
+    return _bilinear(e1, e2, _shuffle_words, {} if cache is None else cache)
 
 
 def _shuffle_words(w1, w2, cache):
@@ -145,7 +153,7 @@ def delta0(e):
     Defined on elements whose words are constant or start with z_k, k >= 2;
     constants map to 0.
     """
-    out = Element()
+    out = {}
     for word, coeff in e.terms.items():
         if not word:
             continue
@@ -153,8 +161,8 @@ def delta0(e):
         if k < 2:
             raise DomainError("delta0 needs z_k-leading words with k >= 2, got %s" % (word,))
         head = (XI,) if k == 2 else (k - 1,)
-        out = out + Element.from_word(head + word[1:], coeff)
-    return out
+        _accumulate(out, head + word[1:], coeff)
+    return _raw(out)
 
 
 def delta1(e):
@@ -163,10 +171,10 @@ def delta1(e):
     delta1(z_k w) = (sum_{a=2}^{k} C(k-1,a-1)(-h)^{k-a} z_a + (-h)^{k-1} xi) w
     and delta1(1) = 1.
     """
-    out = Element()
+    out = {}
     for word, coeff in e.terms.items():
         if not word:
-            out = out + Element.from_word((), coeff)
+            _accumulate(out, (), coeff)
             continue
         k = word[0]
         if k < 1:
@@ -174,20 +182,20 @@ def delta1(e):
         tail = word[1:]
         for a in range(2, k + 1):
             c = _neg_h_power(k - a) * comb(k - 1, a - 1)
-            out = out + Element.from_word((a,) + tail, coeff * c)
-        out = out + Element.from_word((XI,) + tail, coeff * _neg_h_power(k - 1))
-    return out
+            _accumulate(out, (a,) + tail, coeff * c)
+        _accumulate(out, (XI,) + tail, coeff * _neg_h_power(k - 1))
+    return _raw(out)
 
 
 def i0(e):
     """Raise the leading letter: xi w -> z_2 w, z_k w -> z_{k+1} w (k >= 2)."""
-    out = Element()
+    out = {}
     for word, coeff in e.terms.items():
         if not word or word[0] == 1:
             raise DomainError("i0 needs xi- or z_{k>=2}-leading words, got %s" % (word,))
         head = (2,) if word[0] == XI else (word[0] + 1,)
-        out = out + Element.from_word(head + word[1:], coeff)
-    return out
+        _accumulate(out, head + word[1:], coeff)
+    return _raw(out)
 
 
 def i1(e):
@@ -196,22 +204,22 @@ def i1(e):
     i1(z_k w) = (sum_{a=1}^{k} C(k-1,a-1) h^{k-a} z_a) w for k >= 2,
     the trailing factor w applied to every summand.
     """
-    out = Element()
+    out = {}
     for word, coeff in e.terms.items():
         if not word:
-            out = out + Element.from_word((), coeff)
+            _accumulate(out, (), coeff)
             continue
         k = word[0]
         tail = word[1:]
         if k == XI:
-            out = out + Element.from_word((1,) + tail, coeff)
+            _accumulate(out, (1,) + tail, coeff)
             continue
         if k == 1:
             raise DomainError("i1 is undefined on z_1-leading words: %s" % (word,))
         for a in range(1, k + 1):
             c = h_power(k - a) * comb(k - 1, a - 1)
-            out = out + Element.from_word((a,) + tail, coeff * c)
-    return out
+            _accumulate(out, (a,) + tail, coeff * c)
+    return _raw(out)
 
 
 def e_map(e):
@@ -228,10 +236,10 @@ def e_inv(e):
 
 
 def _e_like(e, hpow):
-    out = Element()
+    out = {}
     for word, coeff in e.terms.items():
         if not word or word[0] == XI:
-            out = out + Element.from_word(word, coeff)
+            _accumulate(out, word, coeff)
             continue
         k = word[0]
         if k == 1:
@@ -240,18 +248,15 @@ def _e_like(e, hpow):
         for a in range(2, k + 1):
             c = hpow(k - a) * comb(k - 2, a - 2)
             if c:
-                out = out + Element.from_word((a,) + tail, coeff * c)
-    return out
+                _accumulate(out, (a,) + tail, coeff * c)
+    return _raw(out)
 
 
 def phi(k):
     """phi_k = sum_{a=2}^{k} (-h)^{k-a} z_a + (-h)^{k-1} xi; phi_1 = xi."""
     if k < 1:
         raise ValueError("phi needs k >= 1")
-    out = Element.from_word((XI,), _neg_h_power(k - 1))
-    for a in range(2, k + 1):
-        out = out + Element.from_word((a,), _neg_h_power(k - a))
-    return out
+    return Element([((XI,), _neg_h_power(k - 1))] + [((a,), _neg_h_power(k - a)) for a in range(2, k + 1)])
 
 
 def star(e1, e2, cache=None):
@@ -269,11 +274,7 @@ def star(e1, e2, cache=None):
 
 
 def _star_elem(e1, e2, cache):
-    out = Element()
-    for w1, c1 in e1.terms.items():
-        for w2, c2 in e2.terms.items():
-            out = out + _star_words(w1, w2, cache).scale(c1 * c2)
-    return out
+    return _bilinear(e1, e2, _star_words, cache)
 
 
 def _star_words(w1, w2, cache):
@@ -285,13 +286,13 @@ def _star_words(w1, w2, cache):
     got = cache.get(key)
     if got is not None:
         return got
-    total = Element()
+    total = {}
     for kind1, payload1, c1 in _star_pieces_of(w1):
         for kind2, payload2, c2 in _star_pieces_of(w2):
-            piece = _star_pieces(kind1, payload1, kind2, payload2, cache)
-            total = total + piece.scale(c1 * c2)
-    cache[key] = total
-    return total
+            _add_scaled(total, _star_pieces(kind1, payload1, kind2, payload2, cache), c1 * c2)
+    res = _raw(total)
+    cache[key] = res
+    return res
 
 
 def _star_pieces_of(word):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NotAdmissible, NotHomogeneous
-from .hpoly import h_power
+from .hpoly import H, h_power
 from .words import (
     Element,
     a_words_of_degree,
@@ -60,29 +60,41 @@ def gen_double_shuffle(d, caches=None):
     Enumerates unordered pairs of admissible-start words with degree sum
     d - j for every j >= 0 and lifts by h^j, so the list is homogeneous of
     weight d. Deterministic order: j ascending, then degrees, then words.
+    Each weight's list is kept in caches["double_shuffle"].
     """
     if d < 2:
         raise ValueError("double shuffle needs weight >= 2")
-    if caches is None:
-        caches = {}
+    return list(_double_shuffle(d, {} if caches is None else caches))
+
+
+def _double_shuffle(d, caches):
+    """The weight-d generator list: the j = 0 pairs, then h times the weight-(d-1) list.
+
+    The j >= 1 part of weight d is exactly the weight-(d-1) list lifted by h,
+    in the same order, so it is reused instead of recomputed.
+    """
+    lists = caches.setdefault("double_shuffle", {})
+    got = lists.get(d)
+    if got is not None:
+        return got
     hc = caches.setdefault("harmonic", {})
     sc = caches.setdefault("shuffle", {})
     out = []
-    for j in range(0, d - 1):
-        rem = d - j
-        lift = h_power(j)
-        for m1 in range(1, rem // 2 + 1):
-            m2 = rem - m1
-            words1 = list(a_words_of_degree(m1, admissible_only=True))
-            words2 = list(a_words_of_degree(m2, admissible_only=True)) if m2 != m1 else words1
-            for i1, w1 in enumerate(words1):
-                e1 = Element.from_word(w1)
-                start = i1 if m1 == m2 else 0
-                for w2 in words2[start:]:
-                    e2 = Element.from_word(w2)
-                    el = harmonic(e1, e2, hc) - shuffle(e1, e2, sc)
-                    if el:
-                        out.append(el.scale(lift))
+    for m1 in range(1, d // 2 + 1):
+        m2 = d - m1
+        words1 = list(a_words_of_degree(m1, admissible_only=True))
+        words2 = list(a_words_of_degree(m2, admissible_only=True)) if m2 != m1 else words1
+        for i1, w1 in enumerate(words1):
+            e1 = Element.from_word(w1)
+            start = i1 if m1 == m2 else 0
+            for w2 in words2[start:]:
+                e2 = Element.from_word(w2)
+                el = harmonic(e1, e2, hc) - shuffle(e1, e2, sc)
+                if el:
+                    out.append(el)
+    if d > 2:
+        out += [g.scale(H) for g in _double_shuffle(d - 1, caches)]
+    lists[d] = out
     return out
 
 
@@ -319,7 +331,7 @@ def _to_int_row(frac_row):
     for x in frac_row:
         if x:
             den = lcm(den, x.denominator)
-    return [int(x * den) for x in frac_row]
+    return [x.numerator * (den // x.denominator) if x else 0 for x in frac_row]
 
 
 def rref(rows):

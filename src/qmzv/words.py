@@ -73,18 +73,7 @@ class Element:
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for word, coeff in items:
-            if not isinstance(coeff, HPoly):
-                coeff = HPoly(coeff)
-            if coeff:
-                prev = data.get(word)
-                if prev is None:
-                    data[word] = coeff
-                else:
-                    total = prev + coeff
-                    if total:
-                        data[word] = total
-                    else:
-                        del data[word]
+            _accumulate(data, word, coeff if isinstance(coeff, HPoly) else HPoly(coeff))
         object.__setattr__(self, "terms", data)
 
     def __setattr__(self, name, value):
@@ -118,15 +107,7 @@ class Element:
             return NotImplemented
         out = dict(self.terms)
         for word, coeff in other.terms.items():
-            prev = out.get(word)
-            if prev is None:
-                out[word] = coeff
-            else:
-                total = prev + coeff
-                if total:
-                    out[word] = total
-                else:
-                    del out[word]
+            _accumulate(out, word, coeff)
         return _raw(out)
 
     def __neg__(self):
@@ -142,17 +123,7 @@ class Element:
             out = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    word = w1 + w2
-                    coeff = c1 * c2
-                    prev = out.get(word)
-                    if prev is None:
-                        out[word] = coeff
-                    else:
-                        total = prev + coeff
-                        if total:
-                            out[word] = total
-                        else:
-                            del out[word]
+                    _accumulate(out, w1 + w2, c1 * c2)
             return _raw(out)
         if isinstance(other, (HPoly, Fraction, int)):
             return self.scale(other)
@@ -179,13 +150,6 @@ class Element:
 
     def words(self):
         return self.terms.keys()
-
-    def map_words(self, fn):
-        """Linear extension of a word -> Element map."""
-        out = Element()
-        for word, coeff in self.terms.items():
-            out = out + fn(word).scale(coeff)
-        return out
 
     def __repr__(self):
         from .expr import format_element
@@ -303,17 +267,16 @@ def expand_to_x(e):
                 block = "x" * (u - 1) + "y"
                 partial = [(w + block, k) for w, k in partial]
         for w, c in partial:
-            prev = out.get(w)
-            total = c if prev is None else prev + c
-            if total:
-                out[w] = total
-            elif prev is not None:
-                del out[w]
+            _accumulate(out, w, c)
     return _raw(out)
 
 
 def _rho_block():
     return Element((((1,), ONE), ((XI,), HPoly(-1))))
+
+
+# r = z_1 - xi as (A-word, sign) pairs.
+_RHO_EXPANSION = (((1,), 1), ((XI,), -1))
 
 
 def contract_to_a(e):
@@ -322,30 +285,28 @@ def contract_to_a(e):
     Each x/y/r word must factor as blocks x^(k-1)y (giving z_k) and single
     letters r (giving z_1 - xi). Raises NotInH1 otherwise.
     """
-    rho = _rho_block()
-    out = Element()
+    out = {}
     for word, coeff in e.terms.items():
-        factors = Element.unit()
+        partial = [((), 1)]
         i = 0
         n = len(word)
         while i < n:
-            c = word[i]
-            if c == "r":
-                factors = factors * rho
+            if word[i] == "r":
+                partial = [(w + u, s * t) for w, s in partial for u, t in _RHO_EXPANSION]
                 i += 1
-            elif c == "y":
-                factors = factors * Element.from_word((1,))
-                i += 1
-            else:
-                j = i
-                while j < n and word[j] == "x":
-                    j += 1
-                if j >= n or word[j] != "y":
-                    raise NotInH1("x-run not followed by y in %r" % (word,))
-                factors = factors * Element.from_word((j - i + 1,))
-                i = j + 1
-        out = out + factors.scale(coeff)
-    return out
+                continue
+            j = i
+            while j < n and word[j] == "x":
+                j += 1
+            if j >= n or word[j] != "y":
+                raise NotInH1("x-run not followed by y in %r" % (word,))
+            block = (j - i + 1,)
+            partial = [(w + block, s) for w, s in partial]
+            i = j + 1
+        neg = -coeff
+        for w, s in partial:
+            _accumulate(out, w, coeff if s > 0 else neg)
+    return _raw(out)
 
 
 def decompose_h0hat(e):

@@ -35,6 +35,8 @@ from qmzv.products import (
     star,
 )
 
+from random_elements import property_examples, rational_coeff, rational_element
+
 E = Element.from_word
 
 
@@ -210,6 +212,25 @@ def test_star_commutative_and_associative_small():
         c = _random_element(rng, 1, admissible=True)
         assert star(a, b, cache) == star(b, a, cache)
         assert star(star(a, b, cache), c, cache) == star(a, star(b, c, cache), cache)
+
+
+@property_examples(20)
+def test_products_commute_and_scale_with_rational_h_coefficients(rng):
+    a = rational_element(rng, admissible=True)
+    b = rational_element(rng, admissible=True)
+    c = rational_coeff(rng) * Fraction(1, 11)  # never 1: no denominator has the factor 11
+    for product in (harmonic, shuffle, star):
+        cache = {}
+        ab = product(a, b, cache)
+        assert ab == product(b, a, cache)
+        assert product(a.scale(c), b, cache) == ab.scale(c)
+
+
+@property_examples(20)
+def test_star_transports_to_shuffle_with_rational_h_coefficients(rng):
+    a = rational_element(rng, admissible=True)
+    b = rational_element(rng, admissible=True)
+    assert e_map(star(a, b)) == shuffle(e_map(a), e_map(b))
 
 
 def test_products_return_new_elements():

@@ -5,14 +5,16 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from qmzv.errors import NotAdmissible, NotHomogeneous
-from qmzv.hpoly import H, ONE
+from qmzv.hpoly import H, ONE, h_power
 from qmzv.words import XI, Element, a_words_of_degree
 from qmzv.expr import format_element, parse_element
 from qmzv.evaluate import QContext
+from qmzv.products import harmonic, shuffle
 from qmzv.relations import (
     GradedBasis,
     dims_table,
@@ -29,7 +31,7 @@ from qmzv.relations import (
     rref,
     verify_numeric,
 )
-from qmzv.relations import _PRIME, _independent_rows, _insertion_echelon, _int_echelon
+from qmzv.relations import _PRIME, _independent_rows, _insertion_echelon, _int_echelon, _to_int_row
 
 E = Element.from_word
 
@@ -73,6 +75,24 @@ def test_rref_matches_oracle_on_random_matrices():
         if nrows >= 2 and rng.random() < 0.5:
             rows[-1] = [a + b for a, b in zip(rows[0], rows[1 % nrows])]
         assert rref(rows) == _oracle_rref(rows)
+
+
+def test_rref_matches_oracle_on_mixed_denominators_and_zero_rows():
+    rng = random.Random(59)
+    dens = (1, 2, 3, 7, 12, 2**61 - 1)
+    for _ in range(30):
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 2 * ncols + 2)):
+            if rng.random() < 0.2:
+                rows.append([Fraction(0)] * ncols)
+            else:
+                rows.append([rng.choice((Fraction(0), Fraction(rng.randint(-9, 9), rng.choice(dens)))) for _ in range(ncols)])
+        assert rref(rows) == _oracle_rref(rows)
+        for row in rows:
+            ints = _to_int_row(row)
+            assert all(type(x) is int for x in ints)
+            assert ints == [x * lcm(*(y.denominator for y in row)) for x in row]
 
 
 def test_rref_basics():
@@ -149,6 +169,37 @@ def test_double_shuffle_weight_two():
     gens = gen_double_shuffle(2)
     assert len(gens) == 1
     assert gens[0] == parse_element("z2 - h*xi - xi z1 + xi xi")
+
+
+def _double_shuffle_reference(d):
+    """h^j (w * w' - w sh w') over unordered pairs of single admissible-start words.
+
+    Order: j ascending, then the degree m1 of the first word, then the words;
+    zero differences are dropped.
+    """
+    out = []
+    hc, sc = {}, {}
+    for j in range(d - 1):
+        rem = d - j
+        for m1 in range(1, rem // 2 + 1):
+            for w1 in a_words_of_degree(m1, admissible_only=True):
+                for w2 in a_words_of_degree(rem - m1, admissible_only=True):
+                    if 2 * m1 == rem and w2 < w1:
+                        continue
+                    el = harmonic(E(w1), E(w2), hc) - shuffle(E(w1), E(w2), sc)
+                    if el:
+                        out.append(el.scale(h_power(j)))
+    return out
+
+
+def test_double_shuffle_order_is_the_same_with_shared_caches():
+    # _int_echelon's stored rows depend on the generator order
+    shared = {}
+    for d in range(2, 7):
+        got = gen_double_shuffle(d, shared)
+        assert got == gen_double_shuffle(d) == _double_shuffle_reference(d)
+        got.clear()
+        assert gen_double_shuffle(d, shared) == gen_double_shuffle(d)
 
 
 def test_double_shuffle_generators_are_homogeneous():

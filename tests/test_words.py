@@ -31,6 +31,8 @@ from qmzv.words import (
     xi_rho_times,
 )
 
+from random_elements import property_examples, rational_element
+
 
 def _random_a_element(rng, max_degree=4, terms=3, admissible=False):
     words = []
@@ -162,6 +164,12 @@ def test_expand_contract_round_trip():
         assert contract_to_a(expand_to_x(e)) == e
 
 
+@property_examples(25)
+def test_contract_inverts_expand_with_rational_h_coefficients(rng):
+    e = rational_element(rng, max_degree=5, terms=4)
+    assert contract_to_a(expand_to_x(e)) == e
+
+
 def test_expand_examples():
     assert expand_to_x(Element.from_word((2,))).terms == {"xy": ONE}
     xi = expand_to_x(Element.from_word((XI,)))
@@ -172,6 +180,12 @@ def test_expand_examples():
 def test_contract_rejects_trailing_x_runs():
     with pytest.raises(NotInH1):
         contract_to_a(Element({"yx": ONE}))
+
+
+@pytest.mark.parametrize("word", ["x", "xr", "xry", "rx"])
+def test_contract_rejects_x_runs_not_closed_by_y(word):
+    with pytest.raises(NotInH1):
+        contract_to_a(Element({"y": ONE, word: HPoly((0, Fraction(2, 3)))}))
 
 
 def test_element_weight():
