@@ -282,22 +282,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         text, doc, summary, code = DISPATCH[args.cmd](args)
-    except QmzvError as exc:
+        body = json.dumps(doc, indent=2) if args.json else text
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body + "\n")
+    except (QmzvError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    body = json.dumps(doc, indent=2) if args.json else text
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
-        if summary:
-            print(summary)
-    else:
+    if not args.out:
         print(body)
         if summary and args.json:
             print(summary, file=sys.stderr)
+    elif summary:
+        print(summary)
     return code
 
 

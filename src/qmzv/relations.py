@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
-from .errors import NotAdmissible, NotHomogeneous
-from .hpoly import H, h_power
+from .errors import DomainError, NotAdmissible, NotHomogeneous
+from .hpoly import H
 from .words import (
     Element,
     a_words_of_degree,
@@ -41,6 +42,11 @@ class GradedBasis:
     monomials: tuple
     h0_flags: tuple
 
+    @cached_property
+    def columns(self):
+        """Map from each word to the position of its monomial, built once per basis."""
+        return {w: i for i, (_, w) in enumerate(self.monomials)}
+
 
 def enumerate_basis(d):
     """All monomials of total weight d: h^d and h^(d-m) * (admissible word)."""
@@ -54,6 +60,22 @@ def enumerate_basis(d):
     return GradedBasis(d, tuple(monomials), flags)
 
 
+def _h_lifted(family, d, caches, new):
+    """A generator family's weight-d list: new(d), then h times its weight-(d-1) list.
+
+    That tail is every h^j multiple (j >= 1) of the lower weights, in order;
+    each weight's list is built once and kept in caches[family].
+    """
+    lists = caches.setdefault(family, {})
+    got = lists.get(d)
+    if got is None:
+        got = new(d)
+        if d > 1:
+            got += [g.scale(H) for g in _h_lifted(family, d - 1, caches, new)]
+        lists[d] = got
+    return got
+
+
 def gen_double_shuffle(d, caches=None):
     """Generators w * w' - w sh w' spanning the double-shuffle space.
 
@@ -64,95 +86,69 @@ def gen_double_shuffle(d, caches=None):
     """
     if d < 2:
         raise ValueError("double shuffle needs weight >= 2")
-    return list(_double_shuffle(d, {} if caches is None else caches))
+    caches = {} if caches is None else caches
+    return list(_h_lifted("double_shuffle", d, caches, lambda k: _shuffle_pairs(k, caches)))
 
 
-def _double_shuffle(d, caches):
-    """The weight-d generator list: the j = 0 pairs, then h times the weight-(d-1) list.
-
-    The j >= 1 part of weight d is exactly the weight-(d-1) list lifted by h,
-    in the same order, so it is reused instead of recomputed.
-    """
-    lists = caches.setdefault("double_shuffle", {})
-    got = lists.get(d)
-    if got is not None:
-        return got
+def _shuffle_pairs(d, caches):
+    """w * w' - w sh w' over unordered pairs of admissible-start words of degree sum d."""
     hc = caches.setdefault("harmonic", {})
     sc = caches.setdefault("shuffle", {})
     out = []
     for m1 in range(1, d // 2 + 1):
-        m2 = d - m1
         words1 = list(a_words_of_degree(m1, admissible_only=True))
-        words2 = list(a_words_of_degree(m2, admissible_only=True)) if m2 != m1 else words1
+        words2 = list(a_words_of_degree(d - m1, admissible_only=True))
         for i1, w1 in enumerate(words1):
             e1 = Element.from_word(w1)
-            start = i1 if m1 == m2 else 0
-            for w2 in words2[start:]:
+            for w2 in words2[i1 if 2 * m1 == d else 0 :]:
                 e2 = Element.from_word(w2)
                 el = harmonic(e1, e2, hc) - shuffle(e1, e2, sc)
                 if el:
                     out.append(el)
-    if d > 2:
-        out += [g.scale(H) for g in _double_shuffle(d - 1, caches)]
-    lists[d] = out
     return out
 
 
-def _ab_compositions(total):
-    """Sequences ((a_1,b_1),...,(a_r,b_r)) of nonnegatives, sum(a+b+1) = total."""
-    if total == 0:
-        yield ()
-        return
-    for a in range(total):
-        for b in range(total - a):
-            head = (a, b)
-            for rest in _ab_compositions(total - a - b - 1):
-                yield (head,) + rest
-
-
-def gen_resummation(d, include_hbar_lifts=True):
+def gen_resummation(d, include_hbar_lifts=True, caches=None):
     """Duality generators phi_{a? +1} rho^b ... minus the reversed-swapped word.
 
     Every composition with weight sum d contributes the difference of the
     phi-rho word and its dual (reverse the factors, swap each (a, b)); the
     self-dual compositions are dropped since they vanish. With lifts on,
-    h^j times the weight-(d-j) generators are appended for j >= 1.
+    h^j times the weight-(d-j) generators are appended for j >= 1, and each
+    weight's list is kept in caches["resummation"].
     """
     if d < 1:
         raise ValueError("resummation needs weight >= 1")
-    phis = {}
-    rho_pows = {0: Element.unit()}
+    if not include_hbar_lifts:
+        return _dual_differences(d)
+    return list(_h_lifted("resummation", d, {} if caches is None else caches, _dual_differences))
 
-    def phi_cached(k):
-        if k not in phis:
-            phis[k] = phi(k)
-        return phis[k]
 
-    def rho_pow(r):
-        if r not in rho_pows:
-            rho_pows[r] = rho_pow(r - 1) * Element((((1,), 1), ((0,), -1)))
-        return rho_pows[r]
+def _dual_differences(d):
+    """phi-rho word minus its dual for each composition of weight sum d.
 
-    def word_of(comp):
-        el = Element.unit()
-        for a, b in comp:
-            el = el * phi_cached(a + 1) * rho_pow(b)
-        return el
-
+    levels[t] maps each composition ((a_1,b_1),...) with sum(a+b+1) = t to its
+    word phi_(a_1+1) rho^b_1 ..., ordered by (a_1, b_1), then by the rest. A
+    dual is another composition of total d, so every word is built once.
+    """
+    rho = Element((((1,), 1), ((0,), -1)))  # z_1 - xi
+    levels = [{(): Element.unit()}]
+    for t in range(1, d + 1):
+        level = {}
+        for a in range(t):
+            block = phi(a + 1)
+            for b in range(t - a):
+                for rest, word in levels[t - a - b - 1].items():
+                    level[((a, b),) + rest] = block * word
+                block = block * rho
+        levels.append(level)
     out = []
-    js = range(0, d) if include_hbar_lifts else (0,)
-    for j in js:
-        dd = d - j
-        if dd < 1:
-            continue
-        lift = h_power(j)
-        for comp in _ab_compositions(dd):
-            dual = tuple((b, a) for a, b in reversed(comp))
-            if dual == comp:
-                continue
-            el = word_of(comp) - word_of(dual)
+    for comp, word in levels[d].items():
+        dual = tuple((b, a) for a, b in reversed(comp))
+        if dual != comp:
+            el = word - levels[d][dual]
             if el:
-                out.append(el.scale(lift))
+                out.append(el)
     return out
 
 
@@ -346,7 +342,11 @@ def rref(rows):
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("rows must have equal length")
-    pivots = _int_echelon([_to_int_row(r) for r in rows], ncols)
+    return _fraction_rows(_int_echelon([_to_int_row(r) for r in rows], ncols), ncols)
+
+
+def _fraction_rows(pivots, ncols):
+    """The reduced echelon form of an integer echelon {pivot column: row}, as Fraction rows."""
     non, den, tails = _reduced_tails(pivots, ncols)
     out = []
     for c in sorted(pivots):
@@ -375,7 +375,6 @@ class RelationBasis:
 def element_coordinates(e, basis):
     """Coordinates of a weight-homogeneous element in a GradedBasis order."""
     d = basis.weight
-    col_of = {word: i for i, (_, word) in enumerate(basis.monomials)}
     row = [Fraction(0)] * len(basis.monomials)
     for word, coeff in e.terms.items():
         j = d - word_degree(word)
@@ -384,10 +383,17 @@ def element_coordinates(e, basis):
         for power, c in enumerate(coeff.coeffs):
             if c and power != j:
                 raise NotHomogeneous("term of weight %d in a weight-%d element" % (power + word_degree(word), d))
-        c = coeff[j]
-        if c:
-            row[col_of[word]] = c
+        col = basis.columns.get(word)
+        if col is None:
+            raise DomainError("word %s is not in the weight-%d admissible basis" % (word, d))
+        row[col] = coeff[j]
     return row
+
+
+def _int_row(e, basis, order):
+    """The integer multiple of e's coordinates, with the columns taken in the given order."""
+    coords = element_coordinates(e, basis)
+    return _to_int_row([coords[i] for i in order])
 
 
 def intersect_with_h0(generators, d, hbar_lifts=True):
@@ -396,45 +402,34 @@ def intersect_with_h0(generators, d, hbar_lifts=True):
     Orders coordinates with the non-z-part monomials first and row-reduces
     every generator row with _int_echelon: independent rows are selected
     mod a prime, only those are eliminated exactly, and the skipped rows are
-    certified to lie in their span. The echelon rows supported entirely on
-    the z-word block exactly span the intersection and are returned in
-    reduced echelon form over the index coordinates.
+    certified to lie in their span. The echelon rows whose pivot lies in the
+    z-word block are zero outside it and exactly span the intersection; their
+    reduced echelon form over the index coordinates is returned.
     """
     basis = enumerate_basis(d)
-    order = [i for i, f in enumerate(basis.h0_flags) if not f]
     h0_cols = [i for i, f in enumerate(basis.h0_flags) if f]
-    order += h0_cols
+    order = [i for i, f in enumerate(basis.h0_flags) if not f] + h0_cols
     n_non = len(order) - len(h0_cols)
-    int_rows = []
-    for e in generators:
-        coords = element_coordinates(e, basis)
-        row = [coords[i] for i in order]
-        if any(row):
-            int_rows.append(_to_int_row(row))
+    int_rows = [row for row in (_int_row(e, basis, order) for e in generators) if any(row)]
     pivots = _int_echelon(int_rows, len(order))
-    h0_rows = [pivots[c][n_non:] for c in sorted(pivots) if c >= n_non]
-    reduced = rref(h0_rows)
+    h0_rows = {c - n_non: row[n_non:] for c, row in pivots.items() if c >= n_non}
     index_basis = tuple(word_to_index(basis.monomials[i][1]) for i in h0_cols)
-    return RelationBasis(d, hbar_lifts, index_basis, reduced)
+    return RelationBasis(d, hbar_lifts, index_basis, _fraction_rows(h0_rows, len(h0_cols)))
 
 
 def relation_basis(d, include_hbar_lifts=True, caches=None):
     """The full pipeline at weight d: generators, intersection, index rows."""
-    gens = gen_double_shuffle(d, caches) + gen_resummation(d, include_hbar_lifts)
+    gens = gen_double_shuffle(d, caches) + gen_resummation(d, include_hbar_lifts, caches)
     return intersect_with_h0(gens, d, include_hbar_lifts)
 
 
 def in_row_space(e, generators, d):
     """Exact membership of a weight-d element in the rational generator span."""
     basis = enumerate_basis(d)
-    rows = []
-    for g in generators:
-        coords = element_coordinates(g, basis)
-        if any(coords):
-            rows.append(_to_int_row(coords))
-    ncols = len(basis.monomials)
-    span = _reduced_tails(_int_echelon(rows, ncols), ncols)
-    return _in_span(_to_int_row(element_coordinates(e, basis)), *span)
+    order = range(len(basis.monomials))
+    rows = [row for row in (_int_row(g, basis, order) for g in generators) if any(row)]
+    span = _reduced_tails(_int_echelon(rows, len(order)), len(order))
+    return _in_span(_int_row(e, basis, order), *span)
 
 
 @dataclass(frozen=True)
@@ -483,7 +478,9 @@ def relation_basis_from_doc(doc):
     """Inverse of relation_basis_to_doc; validates shape and exact values."""
     try:
         weight = int(doc["weight"])
-        lifts = bool(doc["mode"]["hbar_lifts"])
+        lifts = doc["mode"]["hbar_lifts"]
+        if type(lifts) is not bool:
+            raise TypeError("hbar_lifts must be true or false, not %r" % (lifts,))
         index_basis = tuple(index_from_text(t) for t in doc["index_basis"])
         rows = tuple(tuple(Fraction(c) for c in row) for row in doc["relations"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -35,6 +35,13 @@ def test_product_parse_error_exits_2():
     assert "error" in proc.stderr
 
 
+def test_unwritable_out_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x"
+    proc = _run("product", "harmonic", "z2", "z3", "--out", str(target), expect=2)
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not target.exists()
+
+
 def test_small_commands_do_not_import_numpy():
     script = (
         "import sys\n"

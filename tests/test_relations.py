@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,12 +10,12 @@ from math import lcm
 
 import pytest
 
-from qmzv.errors import NotAdmissible, NotHomogeneous
+from qmzv.errors import DomainError, NotAdmissible, NotHomogeneous
 from qmzv.hpoly import H, ONE, h_power
 from qmzv.words import XI, Element, a_words_of_degree
 from qmzv.expr import format_element, parse_element
 from qmzv.evaluate import QContext
-from qmzv.products import harmonic, shuffle
+from qmzv.products import harmonic, phi, shuffle
 from qmzv.relations import (
     GradedBasis,
     dims_table,
@@ -163,6 +164,9 @@ def test_element_coordinates_homogeneity():
     assert coords == [0, -1, 0, 0, 1]
     with pytest.raises(NotHomogeneous):
         element_coordinates(E((2,)) + E((3,)), enumerate_basis(3))
+    # z1 z2 has weight 3 but starts with z_1, so no basis column holds it
+    with pytest.raises(DomainError, match=r"\(1, 2\).*weight-3"):
+        in_row_space(E((1, 2)), gen_double_shuffle(3), 3)
 
 
 def test_double_shuffle_weight_two():
@@ -216,6 +220,52 @@ def test_resummation_weight_two():
     assert len(gens) == 2
     assert gens[0] == -gens[1]
     assert gens[1] == parse_element("z2 - h*xi - xi z1 + xi xi")
+
+
+def _resummation_reference(d, lifts):
+    """h^j (word(c) - word(dual c)) over the non-self-dual compositions c of weight d - j.
+
+    j runs over 0..d-1 with lifts and is 0 without; word(c) is the product of
+    phi_(a+1) rho^b over the pairs (a, b) of c, left to right, and the dual
+    reverses the pairs and swaps each. Zero differences are dropped.
+    """
+    rho = E((1,)) - E((XI,))
+
+    def comps(total):
+        if total == 0:
+            yield ()
+        for a in range(total):
+            for b in range(total - a):
+                for rest in comps(total - a - b - 1):
+                    yield ((a, b),) + rest
+
+    def word_of(comp):
+        el = Element.unit()
+        for a, b in comp:
+            el = el * phi(a + 1)
+            for _ in range(b):
+                el = el * rho
+        return el
+
+    out = []
+    for j in range(d) if lifts else (0,):
+        for comp in comps(d - j):
+            dual = tuple((b, a) for a, b in reversed(comp))
+            el = word_of(comp) - word_of(dual)
+            if dual != comp and el:
+                out.append(el.scale(h_power(j)))
+    return out
+
+
+def test_resummation_order_is_the_same_with_shared_caches():
+    # one cache for both modes: the unlifted lists must not pick up lifts
+    shared = {}
+    for d in range(1, 7):
+        for lifts in (True, False):
+            got = gen_resummation(d, lifts, shared)
+            assert got == gen_resummation(d, lifts) == _resummation_reference(d, lifts)
+            got.clear()
+            assert gen_resummation(d, lifts, shared) == gen_resummation(d, lifts)
 
 
 def test_resummation_lift_flag():
@@ -309,8 +359,39 @@ def test_deserialization_rejects_malformed_documents():
         lambda d: d["relations"][0].pop(),
         lambda d: d["relations"][0].__setitem__(0, "x"),
         lambda d: d["index_basis"].__setitem__(1, "a,b"),
+        lambda d: d["mode"].__setitem__("hbar_lifts", "false"),
+        lambda d: d["mode"].__setitem__("hbar_lifts", 1),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)
         with pytest.raises(ValueError):
             relation_basis_from_doc(doc)
+
+
+# sha256 of json.dumps(relation_basis_to_doc(...), indent=2) at weights 2..6:
+# the documents' bytes depend on the generator lists, their order and the
+# elimination, and none of those may change them
+GOLDEN_DOCS = {
+    True: (
+        "1d0c44dd040ad67adcbd5d6837e94d72c554562fe2f801f8f1071b01a7bcdb02",
+        "a004ec136ccd748f0f7818f56988b9d7c5ead3ae4df4bb6a163d984d736efbc6",
+        "fdf0cf57305c4404b48c1ebb6554d7d89f5ca983361b2c49b9495993e3c00452",
+        "bde8f38c63e9b7c1218bd806e7c042c121f699e40a55c7a1e7cc43b1acc2a288",
+        "1ea971424577566f7508ccb70b98d83b28b09f6cfb9288ee63c5003baf567e81",
+    ),
+    False: (
+        "1d45b8604200473b890f01782ef6565a3b138ec0dae200ffac3a8d5eff02d20b",
+        "3ecc2a4603d2d400e6d66def33e0f7aaa56fffbed291c007a69504fe1f004dc5",
+        "b589cae5ce58521b1fb0adf8fd360fed271a7e5fe736b165925a57681319e05c",
+        "cea82559c3ae25b68cd77bb1a9392552e2bbb31bff7ff22052c657e757c2de4d",
+        "9471328afc5e80f3b41940e27e25192069d250ec972f0d09ea8f2152cb24ba2c",
+    ),
+}
+
+
+@pytest.mark.parametrize("lifts", [True, False])
+def test_relation_documents_are_byte_identical_to_the_recorded_ones(lifts):
+    caches = {}
+    for d, digest in zip(range(2, 7), GOLDEN_DOCS[lifts]):
+        blob = json.dumps(relation_basis_to_doc(relation_basis(d, lifts, caches)), indent=2)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, d
