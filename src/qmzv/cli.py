@@ -2,7 +2,8 @@
 
 Subcommands: product, eval, polylog, relations, dims, verify, hoffman.
 Data goes to stdout (or --out), progress and diagnostics to stderr.
-Exit codes: 0 success, 1 verification failure, 2 usage/parse/domain error.
+Exit codes: 0 success, 1 verification failure or an eval/polylog tail bound
+above --tol (the value is still printed), 2 usage/parse/domain error.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _add_output(sp):
 def _add_context(sp):
     sp.add_argument("--q", type=_q_arg, default=Fraction(1, 2), help="rational with 0 < q < 1 (default 1/2)")
     sp.add_argument("--N", type=_n_arg, default=300, help="truncation bound, >= 10 (default 300)")
-    sp.add_argument("--tol", type=_tol_arg, default=1e-10, help="verification tolerance (default 1e-10)")
+    sp.add_argument("--tol", type=_tol_arg, default=1e-10, help="verification tolerance; eval and polylog exit 1 when the tail bound exceeds it (default 1e-10)")
 
 
 def build_parser():
@@ -162,12 +163,20 @@ def cmd_product(args):
     return text, {"kind": args.kind, "result": text}, None, 0
 
 
+def _tail_code(res, args):
+    """0 when the tail bound is within --tol; otherwise 1, with a note on stderr."""
+    if res.tail_bound <= args.tol:
+        return 0
+    print("tail bound %.3g exceeds --tol %.3g; raise --N" % (res.tail_bound, args.tol), file=sys.stderr)
+    return 1
+
+
 def cmd_eval(args):
     ctx = QContext(q=args.q, N=args.N, tol=args.tol)
     res = z_q(parse_element(args.expr), ctx)
     text = "%s ± %.3g" % (_value_text(res.value), res.tail_bound)
     doc = {"value": _value_text(res.value), "tail_bound": res.tail_bound, "certified": res.certified, "q": str(args.q), "N": args.N}
-    return text, doc, None, 0
+    return text, doc, None, _tail_code(res, args)
 
 
 def cmd_polylog(args):
@@ -175,7 +184,7 @@ def cmd_polylog(args):
     res = l_value(parse_element(args.expr), args.t, ctx)
     text = "%s ± %.3g" % (_value_text(res.value), res.tail_bound)
     doc = {"value": _value_text(res.value), "tail_bound": res.tail_bound, "certified": res.certified, "t": str(args.t), "q": str(args.q), "N": args.N}
-    return text, doc, None, 0
+    return text, doc, None, _tail_code(res, args)
 
 
 def cmd_relations(args):

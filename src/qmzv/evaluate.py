@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError
-from .hpoly import hpoly_eval
 from .products import delta0, delta1
 from .words import RHO, XI, Element, decompose_h0hat, element_weight, membership
 
@@ -179,7 +178,7 @@ def z_q(e, ctx):
     value = one * 0
     tail = 0.0
     for word, coeff in e.terms.items():
-        c = hpoly_eval(coeff, hval)
+        c = coeff.evaluate(hval)
         if not word:
             value = value + c
             continue
@@ -224,7 +223,7 @@ def l_value(e, t, ctx):
     qpow = _q_powers(q, N, one)
     qints = [zero] + [(1 - qpow[n]) / (1 - q) for n in range(1, N + 1)]
     for word, coeff in e.terms.items():
-        c = hpoly_eval(coeff, hval)
+        c = coeff.evaluate(hval)
         if not word:
             value = value + c
             continue

@@ -166,9 +166,7 @@ def format_element(e):
                 continue
             negative, ctext = format_hpoly_monomial(c, power)
             if wtext:
-                if c == 1 and power == 0:
-                    body = wtext
-                elif c == -1 and power == 0:
+                if abs(c) == 1 and power == 0:
                     body = wtext
                 else:
                     body = "%s*%s" % (ctext, wtext)

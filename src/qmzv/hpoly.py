@@ -144,11 +144,6 @@ def h_power(k):
     return HPoly((0,) * k + (1,))
 
 
-def hpoly_eval(p, h_value):
-    """Evaluate p at h = h_value; exact when h_value is a Fraction."""
-    return p.evaluate(h_value)
-
-
 def parse_rational(text):
     """Parse "p/q" or "p" into a Fraction."""
     try:

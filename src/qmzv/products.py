@@ -3,9 +3,13 @@ delta0, delta1, i0, i1, e, e_inv, phi_k that tie them together.
 
 Conventions: the harmonic and star products act on A-basis elements, the
 integral shuffle on x/y/r elements with an A-basis wrapper that expands,
-shuffles and contracts. The recursive products accept an optional cache
-dict keyed by word pairs; passing one across calls is safe because all
-results are immutable and input-determined.
+shuffles and contracts. Harmonic and shuffle are one quasi-shuffle word
+recursion with different letter corrections (circle, ALPHA_TABLE); star
+is the shuffle transported through e, star(a, b) = e_inv(e(a) sh e(b)).
+The products accept an optional cache dict keyed by word pairs: A-word
+pairs for harmonic, x/y/r word pairs for shuffle and star. Passing one
+across calls of the same product is safe because all results are
+immutable and input-determined.
 """
 
 from __future__ import annotations
@@ -14,30 +18,12 @@ from math import comb
 
 from .errors import DomainError
 from .hpoly import H, HPoly, ONE, h_power
-from .words import (
-    XI,
-    Element,
-    _accumulate,
-    _raw,
-    contract_to_a,
-    decompose_h0hat,
-    expand_to_x,
-    membership,
-    xi_rho_times,
-)
+from .words import XI, Element, _accumulate, _raw, contract_to_a, expand_to_x, membership
 
 
 def _neg_h_power(j):
     """(-h)^j as an HPoly."""
     return HPoly((0,) * j + ((-1) ** j,))
-
-
-def _prefix_letter(u, e):
-    return _raw({(u,) + w: c for w, c in e.terms.items()})
-
-
-def _prefix_x(u, e):
-    return _raw({u + w: c for w, c in e.terms.items()})
 
 
 def _add_scaled(out, e, c):
@@ -50,13 +36,41 @@ def _add_scaled(out, e, c):
             _accumulate(out, w, p * c)
 
 
-def _bilinear(e1, e2, word_product, cache):
-    """Bilinear extension of a memoised word-pair product to two elements."""
+def _bilinear(e1, e2, correction, cache):
+    """Bilinear extension of the quasi-shuffle word product to two elements."""
     out = {}
     for w1, c1 in e1.terms.items():
         for w2, c2 in e2.terms.items():
-            _add_scaled(out, word_product(w1, w2, cache), c1 * c2)
+            _add_scaled(out, _quasi_shuffle_words(w1, w2, correction, cache), c1 * c2)
     return _raw(out)
+
+
+def _prefix(u, e):
+    return _raw({u + w: c for w, c in e.terms.items()})
+
+
+def _quasi_shuffle_words(w1, w2, correction, cache):
+    """uw * vw' = u(w * vw') + v(uw * w') + correction(u, v)(w * w'), memoised in cache.
+
+    Works on tuple A-words and str x/y/r words alike; a cache must only
+    ever serve one correction.
+    """
+    if not w1:
+        return Element.from_word(w2)
+    if not w2:
+        return Element.from_word(w1)
+    key = (w1, w2) if w1 <= w2 else (w2, w1)
+    got = cache.get(key)
+    if got is not None:
+        return got
+    t1, t2 = w1[1:], w2[1:]
+    res = (
+        _prefix(w1[:1], _quasi_shuffle_words(t1, w2, correction, cache))
+        + _prefix(w2[:1], _quasi_shuffle_words(w1, t2, correction, cache))
+        + correction(w1[0], w2[0]) * _quasi_shuffle_words(t1, t2, correction, cache)
+    )
+    cache[key] = res
+    return res
 
 
 def circle(a, b):
@@ -75,28 +89,8 @@ def circle(a, b):
 
 
 def harmonic(e1, e2, cache=None):
-    """The quasi-shuffle product on A-elements, bilinear with unit 1."""
-    return _bilinear(e1, e2, _harmonic_words, {} if cache is None else cache)
-
-
-def _harmonic_words(w1, w2, cache):
-    if not w1:
-        return Element.from_word(w2)
-    if not w2:
-        return Element.from_word(w1)
-    key = (w1, w2) if w1 <= w2 else (w2, w1)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    u1, t1 = w1[0], w1[1:]
-    u2, t2 = w2[0], w2[1:]
-    res = (
-        _prefix_letter(u1, _harmonic_words(t1, w2, cache))
-        + _prefix_letter(u2, _harmonic_words(w1, t2, cache))
-        + circle(u1, u2) * _harmonic_words(t1, t2, cache)
-    )
-    cache[key] = res
-    return res
+    """The quasi-shuffle product on A-elements with correction circle, bilinear with unit 1."""
+    return _bilinear(e1, e2, circle, {} if cache is None else cache)
 
 
 # Correction table for the shuffle recursion; symmetric by construction.
@@ -119,27 +113,7 @@ def shuffle_x(e1, e2, cache=None):
     Defined by the letter recursion
     uw sh vw' = u(w sh vw') + v(uw sh w') + alpha(u,v)(w sh w').
     """
-    return _bilinear(e1, e2, _shuffle_words, {} if cache is None else cache)
-
-
-def _shuffle_words(w1, w2, cache):
-    if not w1:
-        return Element.from_word(w2)
-    if not w2:
-        return Element.from_word(w1)
-    key = (w1, w2) if w1 <= w2 else (w2, w1)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    u1, t1 = w1[0], w1[1:]
-    u2, t2 = w2[0], w2[1:]
-    res = (
-        _prefix_x(u1, _shuffle_words(t1, w2, cache))
-        + _prefix_x(u2, _shuffle_words(w1, t2, cache))
-        + ALPHA_TABLE[(u1, u2)] * _shuffle_words(t1, t2, cache)
-    )
-    cache[key] = res
-    return res
+    return _bilinear(e1, e2, lambda u, v: ALPHA_TABLE[u, v], {} if cache is None else cache)
 
 
 def shuffle(e1, e2, cache=None):
@@ -268,76 +242,4 @@ def star(e1, e2, cache=None):
     for e in (e1, e2):
         if not membership(e, "H0hat"):
             raise DomainError("star needs admissible-span inputs")
-    if cache is None:
-        cache = {}
-    return _star_elem(e1, e2, cache)
-
-
-def _star_elem(e1, e2, cache):
-    return _bilinear(e1, e2, _star_words, cache)
-
-
-def _star_words(w1, w2, cache):
-    if not w1:
-        return Element.from_word(w2)
-    if not w2:
-        return Element.from_word(w1)
-    key = (w1, w2) if w1 <= w2 else (w2, w1)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    total = {}
-    for kind1, payload1, c1 in _star_pieces_of(w1):
-        for kind2, payload2, c2 in _star_pieces_of(w2):
-            _add_scaled(total, _star_pieces(kind1, payload1, kind2, payload2, cache), c1 * c2)
-    res = _raw(total)
-    cache[key] = res
-    return res
-
-
-def _star_pieces_of(word):
-    """Decompose a single admissible word into direct summands.
-
-    Yields ("h2", word, coeff) for the z-leading part and ("xr", (r, tail),
-    coeff) for the xi r^r tail components.
-    """
-    part2, buckets = decompose_h0hat(Element.from_word(word))
-    pieces = [("h2", w, c) for w, c in part2.terms.items()]
-    for r, elem in buckets.items():
-        pieces.extend(("xr", (r, w), c) for w, c in elem.terms.items())
-    return pieces
-
-
-def _delta0_word(word):
-    return ((XI,) if word[0] == 2 else (word[0] - 1,)) + word[1:]
-
-
-def _star_pieces(kind1, payload1, kind2, payload2, cache):
-    if kind1 == "xr" and kind2 == "h2":
-        kind1, payload1, kind2, payload2 = kind2, payload2, kind1, payload1
-    if kind1 == "h2" and kind2 == "h2":
-        v1, v2 = payload1, payload2
-        d1, d2 = _delta0_word(v1), _delta0_word(v2)
-        inner = (
-            _star_words(d1, v2, cache)
-            + _star_words(v1, d2, cache)
-            - _star_words(d1, d2, cache).scale(H)
-        )
-        return i0(inner)
-    if kind1 == "h2":
-        v = payload1
-        r, u = payload2
-        dv = _delta0_word(v)
-        xr_elem = xi_rho_times(r, Element.from_word(u))
-        term1 = i0(_star_elem(Element.from_word(dv), xr_elem, cache))
-        v_shifted = Element.from_word(v) - Element.from_word(dv).scale(H)
-        term2 = xi_rho_times(r, i1(_star_elem(v_shifted, delta1(Element.from_word(u)), cache)))
-        return term1 + term2
-    r, u = payload1
-    s, u2 = payload2
-    du = delta1(Element.from_word(u))
-    du2 = delta1(Element.from_word(u2))
-    t1 = xi_rho_times(r, i1(_star_elem(du, xi_rho_times(s, Element.from_word(u2)), cache)))
-    t2 = xi_rho_times(s, i1(_star_elem(xi_rho_times(r, Element.from_word(u)), du2, cache)))
-    t3 = xi_rho_times(r + s + 1, i1(_star_elem(du, du2, cache)))
-    return t1 + t2 - t3
+    return e_inv(shuffle(e_map(e1), e_map(e2), cache))

@@ -396,6 +396,12 @@ def _int_row(e, basis, order):
     return _to_int_row([coords[i] for i in order])
 
 
+def _h0_columns(basis):
+    """The z-word columns of a GradedBasis and their admissible indices, in basis order."""
+    cols = [i for i, f in enumerate(basis.h0_flags) if f]
+    return cols, tuple(word_to_index(basis.monomials[i][1]) for i in cols)
+
+
 def intersect_with_h0(generators, d, hbar_lifts=True):
     """Intersection of the generator span with the z-word part at weight d.
 
@@ -407,13 +413,12 @@ def intersect_with_h0(generators, d, hbar_lifts=True):
     reduced echelon form over the index coordinates is returned.
     """
     basis = enumerate_basis(d)
-    h0_cols = [i for i, f in enumerate(basis.h0_flags) if f]
+    h0_cols, index_basis = _h0_columns(basis)
     order = [i for i, f in enumerate(basis.h0_flags) if not f] + h0_cols
     n_non = len(order) - len(h0_cols)
     int_rows = [row for row in (_int_row(e, basis, order) for e in generators) if any(row)]
     pivots = _int_echelon(int_rows, len(order))
     h0_rows = {c - n_non: row[n_non:] for c, row in pivots.items() if c >= n_non}
-    index_basis = tuple(word_to_index(basis.monomials[i][1]) for i in h0_cols)
     return RelationBasis(d, hbar_lifts, index_basis, _fraction_rows(h0_rows, len(h0_cols)))
 
 
@@ -475,9 +480,15 @@ def relation_basis_to_doc(basis):
 
 
 def relation_basis_from_doc(doc):
-    """Inverse of relation_basis_to_doc; validates shape and exact values."""
+    """Inverse of relation_basis_to_doc; validates shape and exact values.
+
+    The weight must be a JSON integer >= 2 and the index basis the one that
+    intersect_with_h0 produces at that weight.
+    """
     try:
-        weight = int(doc["weight"])
+        weight = doc["weight"]
+        if type(weight) is not int or weight < 2:
+            raise ValueError("weight must be an integer >= 2, not %r" % (weight,))
         lifts = doc["mode"]["hbar_lifts"]
         if type(lifts) is not bool:
             raise TypeError("hbar_lifts must be true or false, not %r" % (lifts,))
@@ -485,6 +496,10 @@ def relation_basis_from_doc(doc):
         rows = tuple(tuple(Fraction(c) for c in row) for row in doc["relations"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("malformed relation document: %s" % exc) from exc
+    # the weight-d index basis has 2^(d-1) entries; checking that first keeps a
+    # large stated weight from enumerating its whole basis
+    if len(index_basis) != 2 ** (weight - 1) or index_basis != _h0_columns(enumerate_basis(weight))[1]:
+        raise ValueError("index basis is not the weight-%d admissible index basis" % weight)
     for row in rows:
         if len(row) != len(index_basis):
             raise ValueError("relation row length %d != index count %d" % (len(row), len(index_basis)))

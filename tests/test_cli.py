@@ -55,6 +55,17 @@ def test_small_commands_do_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_eval_tail_bound_above_tol_exits_1_and_still_prints():
+    proc = _run("eval", "z2 z1", "--q", "99/100", expect=1)
+    assert proc.stdout.startswith("1.17127879239336 ± 2.93e+03")
+    assert "tail bound 2.93e+03 exceeds --tol 1e-10" in proc.stderr and "--N" in proc.stderr
+
+
+def test_eval_tail_bound_within_tol_exits_0():
+    proc = _run("eval", "z2 z1", "--q", "99/100", "--N", "4000")
+    assert proc.stdout.startswith("1.17596436850055 ± 2.78e-12") and proc.stderr == ""
+
+
 def test_eval_unit():
     assert _run("eval", "1").stdout.strip() == "1 ± 0"
 

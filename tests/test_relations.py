@@ -361,6 +361,11 @@ def test_deserialization_rejects_malformed_documents():
         lambda d: d["index_basis"].__setitem__(1, "a,b"),
         lambda d: d["mode"].__setitem__("hbar_lifts", "false"),
         lambda d: d["mode"].__setitem__("hbar_lifts", 1),
+        lambda d: d.__setitem__("weight", 3.9),
+        lambda d: d.__setitem__("weight", True),
+        lambda d: d.__setitem__("weight", 1),
+        lambda d: d.update(weight=7, index_basis=["", "2", "2,1", "5,5"]),
+        lambda d: d["index_basis"].__setitem__(3, "2,1"),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)

@@ -60,7 +60,7 @@ def test_element_normalization():
     e = Element([((2,), ONE), ((2,), ONE), ((3,), HPoly(()))])
     assert e.coeff((2,)) == HPoly((2,))
     assert (3,) not in e.terms
-    assert Element([((2,), ONE), ((2,), -1)]).is_zero
+    assert Element([((2,), ONE), ((2,), -1)]).is_zero()
 
 
 def test_element_immutable():
