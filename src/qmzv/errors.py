@@ -33,3 +33,7 @@ class NotHomogeneous(QmzvError):
 
 class NotAdmissible(QmzvError):
     """An index does not start with a part >= 2."""
+
+
+class InternalError(RuntimeError):
+    """An exact self-check failed: a defect of this package, not of its input."""

@@ -31,6 +31,13 @@ class HPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _canonical(cls, coeffs):
+        """An HPoly from a tuple of Fractions with a nonzero last entry (or empty), unchecked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("HPoly is immutable")
 
@@ -72,12 +79,14 @@ class HPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return HPoly(out)
+        while out and not out[-1]:
+            out.pop()
+        return HPoly._canonical(tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HPoly([-c for c in self.coeffs])
+        return HPoly._canonical(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -92,19 +101,20 @@ class HPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return HPoly()
-            return HPoly([c * other for c in self.coeffs])
+                return ZERO
+            return HPoly._canonical(tuple(c * other for c in self.coeffs))
         if not isinstance(other, HPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return HPoly()
+            return ZERO
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return HPoly(out)
+        # the top coefficient is a product of two nonzero top coefficients
+        return HPoly._canonical(tuple(out))
 
     __rmul__ = __mul__
 

@@ -1,0 +1,188 @@
+"""Reduced row echelon form modulo primes, and its lift back to the integers.
+
+The multimodular half of relations._int_echelon. An integer matrix is
+reduced mod primes just below 2^23 by blocked Gauss-Jordan elimination in
+float64 with delayed reduction (Dumas, Giorgi and Pernet 2008,
+FFLAS-FFPACK), and the residues of several primes are combined by CRT and
+balanced rational reconstruction (Wang 1981; Monagan 2004). Nothing here is
+trusted: relations._int_echelon certifies the result exactly. This module
+imports numpy, so only the elimination of tall systems imports it.
+"""
+
+from __future__ import annotations
+
+from math import gcd, isqrt, prod
+
+import numpy as np
+
+# Residues are kept balanced, within p/2 + 1 of zero (see _reduce). For
+# p < 2^23 a product of two is below 2^44.01, and a value takes at most
+# _PANEL of them before it is reduced again, so it stays below 2^52, where
+# float64 is exact and _reduce applies; a pivot row is scaled by an inverse
+# below p, one product below 2^46.
+_PRIME_BITS = 23
+_PANEL = 128
+
+
+def primes():
+    """The primes below 2^_PRIME_BITS, largest first."""
+    n = 2**_PRIME_BITS - 1
+    while n > 2:
+        if all(n % f for f in range(3, isqrt(n) + 1, 2)):
+            yield n
+        n -= 2
+
+
+def integer_matrix(int_rows):
+    """The rows as an int64 array, or as an object array if an entry needs more than 64 bits."""
+    try:
+        return np.array(int_rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(int_rows, dtype=object)
+
+
+def hadamard_limit(a):
+    """2 H^2, where H bounds every minor of the integer matrix a.
+
+    H is the product of the min(m, n) largest row norms, each bounded by
+    sqrt(nonzero count) * 2^(bit length of the largest entry).
+    """
+    nonzero = np.count_nonzero(a, axis=1)
+    top = np.abs(a).max(axis=1)
+    squares = sorted((int(k) << 2 * int(t).bit_length() for k, t in zip(nonzero, top) if k), reverse=True)
+    return 2 * prod(squares[: min(a.shape)])
+
+
+def _reduce(x, p):
+    """The balanced residues of x mod p in place, for integer-valued float64 x with |x| < 2^52.
+
+    The float quotient q = rint(x / p) is within 1/2 + 1/p of x / p, so
+    x - q p lies within p/2 + 1 of zero, and it is 0 exactly when p divides x.
+    """
+    q = x * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _panel_pivots(panel_t, p):
+    """(row, column) of each pivot of a transposed residue panel, in column order.
+
+    Gauss-Jordan on the panel in place; a column is reduced only when it is
+    reached, so each entry takes at most one product per earlier column.
+    """
+    found = []
+    for j in range(len(panel_t)):
+        col = _reduce(panel_t[j], p)
+        hits = np.flatnonzero(col)
+        if hits.size:
+            t = hits[0]
+            lead = _reduce(_reduce(panel_t[j + 1 :, t].copy(), p) * pow(int(col[t]), -1, p), p)
+            panel_t[j + 1 :] -= np.outer(lead, col)
+            found.append((t, j))
+    return found
+
+
+def _pivot_rows(b, cols, p):
+    """Gauss-Jordan of residue rows b in place, the pivot of row s at column cols[s].
+
+    The pivot entries must be units once the rows before them are eliminated.
+    """
+    for s, c in enumerate(cols):
+        row = _reduce(b[s], p)
+        row *= pow(int(row[c]), -1, p)
+        _reduce(row, p)
+        col = _reduce(b[:, c].copy(), p)
+        col[s] = 0
+        b -= np.outer(col, row)
+    return _reduce(b, p)
+
+
+def rref_mod(a, p):
+    """The RREF of an integer matrix mod p: (pivot columns, their rows as float64 residues).
+
+    Blocked Gauss-Jordan over panels of _PANEL columns. A panel's pivots are
+    found among the rows that are no pivot yet. Their block X in the pivot
+    columns has unit leading minors, since each pivot was found after the
+    ones before it, so those rows reduce to X^-1 times themselves, and one
+    matrix product clears the panel's pivot columns in every other row.
+    """
+    a = _reduce((a % p).astype(np.float64), p)
+    free = np.arange(a.shape[0])
+    rows, cols = [], []
+    for j0 in range(0, a.shape[1], _PANEL):
+        found = _panel_pivots(a[free, j0 : j0 + _PANEL].T.copy(), p)
+        if not found:
+            continue
+        prow = free[[t for t, _ in found]]
+        pcol = [j0 + j for _, j in found]
+        k = len(found)
+        inverse = _pivot_rows(np.hstack([a[np.ix_(prow, pcol)], np.eye(k)]), range(k), p)[:, k:]
+        lead = _reduce(inverse @ a[prow, j0:], p)
+        rest = a[:, j0:]
+        rest -= a[:, pcol] @ lead
+        _reduce(rest, p)
+        a[prow, j0:] = lead
+        rows.extend(prow)
+        cols.extend(pcol)
+        free = np.setdiff1d(free, prow, assume_unique=True)
+        if not free.size:
+            break
+    return cols, a[rows]
+
+
+def _rational(u, m, bound):
+    """(a, b) with a = b u mod m, |a| <= bound, 0 < b <= bound and gcd(a, b) = 1, or None (Wang 1981)."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def reconstruct(cols, kept, ncols):
+    """Primitive integer rows {pivot column: row} of an RREF given mod several primes, or None.
+
+    kept holds (p, residues) pairs with the same pivot columns. CRT gives each
+    entry as x mod M, read as the fraction a/b with a = b x mod M and
+    |a|, b <= N = isqrt((M - 1) / 2), which is unique since 2 N^2 < M. A row
+    is scaled by the lcm of its entries' denominators, so it comes out
+    primitive with that lcm at the pivot; while the lcm so far already
+    clears an entry's denominator, a single multiplication finds it. None
+    when some entry has no such fraction.
+    """
+    pivot = set(cols)
+    non = [j for j in range(ncols) if j not in pivot]
+    x = np.zeros((len(cols), len(non)), dtype=object)
+    m = 1
+    for p, residues in kept:
+        r = residues[:, non].astype(np.int64).astype(object)
+        x = x + m * ((r - x % p) * pow(m, -1, p) % p)
+        m *= p
+    half, bound = m // 2, isqrt((m - 1) // 2)
+    out = {}
+    for c, xs in zip(cols, x.tolist()):
+        den, nums = 1, []
+        for v in xs:
+            y = den * v % m
+            if y > half:
+                y -= m
+            if abs(y) > bound:
+                frac = _rational(v, m, bound)
+                if frac is None:
+                    return None
+                a, b = frac
+                grow = b // gcd(den, b)
+                den *= grow
+                nums = [u * grow for u in nums]
+                y = a * (den // b)
+            nums.append(y)
+        row = [0] * ncols
+        row[c] = den
+        for j, u in zip(non, nums):
+            row[j] = u
+        out[c] = row
+    return out

@@ -4,7 +4,9 @@ Builds the double-shuffle generators (harmonic minus integral shuffle) and
 the resummation-duality generators (phi-rho words minus their duals),
 intersects their span with the z-word part of the weight-d component by
 exact rational elimination, and reports relation bases over admissible
-indices together with the dimension table.
+indices together with the dimension table. A system with more rows than
+columns is reduced multimodularly (the modular module) and the result
+certified exactly; a smaller one by fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .errors import DomainError, NotAdmissible, NotHomogeneous
+from .errors import DomainError, InternalError, NotAdmissible, NotHomogeneous
 from .hpoly import H
 from .words import (
     Element,
@@ -190,10 +192,6 @@ def _strip_content(row):
     return row
 
 
-# Products of two residues stay below 2^62, so elimination fits in int64.
-_PRIME = 2**31 - 1
-
-
 def _insertion_echelon(int_rows):
     """Fraction-free insertion echelon over the integers; returns {pivot column: row}.
 
@@ -218,32 +216,6 @@ def _insertion_echelon(int_rows):
             row = _strip_content(row)
             col = _first_nonzero(row, col + 1)
     return pivots
-
-
-def _independent_rows(int_rows):
-    """Indices of the rows independent mod _PRIME of the rows before them.
-
-    These are the pivot columns of the echelon of the transposed matrix mod
-    _PRIME (the row rank profile), found by dense numpy elimination.
-    """
-    import numpy as np
-
-    at = np.array([[x % _PRIME for x in row] for row in int_rows], dtype=np.int64).T.copy()
-    live = np.arange(at.shape[0])
-    keep = []
-    for j in range(at.shape[1]):
-        hits = live[at[live, j] != 0]
-        if not hits.size:
-            continue
-        keep.append(j)
-        top, rest = hits[0], hits[1:]
-        live = live[live != top]
-        if rest.size:
-            lead = at[top, j + 1 :] * pow(int(at[top, j]), _PRIME - 2, _PRIME) % _PRIME
-            at[rest, j + 1 :] = (at[rest, j + 1 :] - at[rest, j][:, None] * lead) % _PRIME
-        if not live.size:
-            break
-    return keep
 
 
 def _reduced_tails(pivots, ncols):
@@ -277,49 +249,78 @@ def _reduced_tails(pivots, ncols):
     return non, den, tails
 
 
-def _in_span(row, non, den, tails):
-    """Whether an integer row lies in the row space given by _reduced_tails.
+def _in_span(rows, non, den, tails):
+    """Whether every integer row lies in the row space given by _reduced_tails.
 
     A row v is in that space exactly when it equals the combination of reduced
     rows its pivot entries select: den * v[non] == sum over c of v[c] * tails[c].
+    Each side is compared as one integer, its vector packed into slots of
+    `width` bits (Kronecker substitution). An entry of the difference is at
+    most |v|_1 times the largest of den and the tail entries, which is below
+    2^(width - 1), so the packed difference is zero only when every entry is.
     """
-    acc = [den * row[j] for j in non]
-    for c, tail in tails.items():
-        f = row[c]
-        if f:
-            acc = [x - f * y for x, y in zip(acc, tail)]
-    return not any(acc)
+    top = max([den] + [abs(x) for tail in tails.values() for x in tail])
+    width = (max(sum(map(abs, row)) for row in rows) * top).bit_length() + 1
+    packed = {c: sum(x << (width * k) for k, x in enumerate(tail) if x) for c, tail in tails.items()}
+    slot = {j: width * k for k, j in enumerate(non)}
+    for row in rows:
+        acc = 0
+        for j, x in enumerate(row):
+            if x:
+                acc += (den * x << slot[j]) if j in slot else -x * packed[j]
+        if acc:
+            return False
+    return True
 
 
 def _int_echelon(int_rows, ncols):
-    """Integer echelon of the rows in input order; returns {pivot column: row}.
+    """Integer echelon of the rows; returns {pivot column: row}.
 
-    With no more rows than columns this is _insertion_echelon. With more,
-    some rows are certainly dependent, and three steps avoid reducing them
-    exactly:
+    With no more rows than columns this is _insertion_echelon, which keeps
+    small systems free of numpy. With more rows it is the exact reduced
+    echelon form, each row a primitive integer row with a positive pivot
+    entry, found multimodularly (see the modular module):
 
-    1. select: numpy elimination mod _PRIME finds the rows independent of the
-       rows before them;
-    2. exact: _insertion_echelon runs over those rows only;
-    3. certify: every skipped row is checked, in exact integers against the
-       reduced echelon form, to lie in the span of the selected rows.
+    1. the RREF mod each prime of modular.primes() in turn. Mod p the rank
+       is never higher, and no pivot column earlier, than over Q, and a
+       prime that matches both gives the RREF over Q mod p; so the primes
+       with the largest rank, then the lexicographically smallest pivot
+       columns, are kept;
+    2. CRT and balanced rational reconstruction over the kept primes;
+    3. certify: every row is checked, in exact integers, to lie in the span
+       of the reconstructed rows (_in_span).
 
-    If a skipped row fails the check (the rank mod _PRIME was lower than over
-    Q), _insertion_echelon runs over all rows instead, so the row space, rank
-    and pivot columns are always exact. The rows themselves are
-    _insertion_echelon's own unless some skipped row needs a later selected
-    row over Q; that takes _PRIME dividing a nonzero minor in just that way,
-    and the check does not rule it out.
+    A certified result is exact: the row space of int_rows lies in the span
+    of the reconstructed rows, whose number, a rank mod p, is at most the
+    rank over Q. So the two spaces are equal, and the reconstructed rows,
+    zero before their pivots and an identity on the pivot columns, are its
+    canonical RREF. A failed reconstruction or certificate adds a prime.
+    Primes that miss the rank or the pivots all divide one nonzero minor,
+    at most H, the Hadamard bound; so once the kept primes' product
+    exceeds 2 H^2 (modular.hadamard_limit) they match, and reconstruction
+    is exact. A failure past that bound is a defect and raises
+    InternalError.
     """
     if len(int_rows) <= ncols:
         return _insertion_echelon(int_rows)
-    keep = _independent_rows(int_rows)
-    pivots = _insertion_echelon([int_rows[i] for i in keep])
-    span = _reduced_tails(pivots, ncols)
-    kept = set(keep)
-    if all(_in_span(row, *span) for i, row in enumerate(int_rows) if i not in kept):
-        return pivots
-    return _insertion_echelon(int_rows)
+    from . import modular
+
+    a = modular.integer_matrix(int_rows)
+    limit = modular.hadamard_limit(a)
+    best, kept = None, []
+    for p in modular.primes():
+        cols, residues = modular.rref_mod(a, p)
+        key = (-len(cols), cols)
+        if best is not None and key > best:
+            continue
+        if key != best:
+            best, kept = key, []
+        kept.append((p, residues))
+        pivots = modular.reconstruct(cols, kept, ncols)
+        if pivots is not None and _in_span(int_rows, *_reduced_tails(pivots, ncols)):
+            return pivots
+        if prod(q for q, _ in kept) > limit:
+            raise InternalError("multimodular RREF failed its certificate with %d primes past the Hadamard bound" % len(kept))
 
 
 def _to_int_row(frac_row):
@@ -406,18 +407,21 @@ def intersect_with_h0(generators, d, hbar_lifts=True):
     """Intersection of the generator span with the z-word part at weight d.
 
     Orders coordinates with the non-z-part monomials first and row-reduces
-    every generator row with _int_echelon: independent rows are selected
-    mod a prime, only those are eliminated exactly, and the skipped rows are
-    certified to lie in their span. The echelon rows whose pivot lies in the
-    z-word block are zero outside it and exactly span the intersection; their
-    reduced echelon form over the index coordinates is returned.
+    every nonzero generator row with _int_echelon: multimodular and
+    certified when there are more rows than columns, fraction-free
+    otherwise. The echelon rows whose pivot lies in the z-word block are
+    zero outside it and exactly span the intersection; their reduced
+    echelon form over the index coordinates is returned.
     """
     basis = enumerate_basis(d)
     h0_cols, index_basis = _h0_columns(basis)
     order = [i for i, f in enumerate(basis.h0_flags) if not f] + h0_cols
     n_non = len(order) - len(h0_cols)
     int_rows = [row for row in (_int_row(e, basis, order) for e in generators) if any(row)]
-    pivots = _int_echelon(int_rows, len(order))
+    try:
+        pivots = _int_echelon(int_rows, len(order))
+    except InternalError as exc:
+        raise InternalError("weight %d: %s" % (d, exc)) from exc
     h0_rows = {c - n_non: row[n_non:] for c, row in pivots.items() if c >= n_non}
     return RelationBasis(d, hbar_lifts, index_basis, _fraction_rows(h0_rows, len(h0_cols)))
 
@@ -434,7 +438,7 @@ def in_row_space(e, generators, d):
     order = range(len(basis.monomials))
     rows = [row for row in (_int_row(g, basis, order) for g in generators) if any(row)]
     span = _reduced_tails(_int_echelon(rows, len(order)), len(order))
-    return _in_span(_int_row(e, basis, order), *span)
+    return _in_span([_int_row(e, basis, order)], *span)
 
 
 @dataclass(frozen=True)

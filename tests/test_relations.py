@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -32,7 +33,11 @@ from qmzv.relations import (
     rref,
     verify_numeric,
 )
-from qmzv.relations import _PRIME, _independent_rows, _insertion_echelon, _int_echelon, _to_int_row
+from qmzv import modular, relations
+from qmzv.errors import InternalError
+from qmzv.relations import _in_span, _int_echelon, _reduced_tails, _to_int_row
+
+from random_elements import property_examples
 
 E = Element.from_word
 
@@ -112,7 +117,19 @@ def test_rref_is_input_order_invariant():
     assert rref(rows) == rref(shuffled)
 
 
+def _primitive_rref(rows):
+    """The oracle's RREF as {pivot column: primitive integer row with a positive pivot entry}."""
+    out = {}
+    for row in _oracle_rref(rows):
+        den = lcm(*(x.denominator for x in row))
+        ints = [int(x * den) for x in row]
+        out[next(j for j, x in enumerate(ints) if x)] = ints
+    return out
+
+
 def test_int_echelon_equals_insertion_over_all_rows():
+    # every matrix is tall, so every one takes the multimodular branch; the
+    # 100-bit ones need many primes
     rng = random.Random(53)
     for _ in range(30):
         ncols = rng.randint(1, 8)
@@ -127,28 +144,107 @@ def test_int_echelon_equals_insertion_over_all_rows():
                 rows.append([sum(c * r[j] for c, r in zip(coeffs, picks)) for j in range(ncols)])
             else:
                 rows.append([rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(ncols)])
-        assert _int_echelon(rows, ncols) == _insertion_echelon(rows)
-        # the selection is the row rank profile: the rows that grow the echelon
-        grows = [i for i in range(nrows) if len(_insertion_echelon(rows[: i + 1])) > len(_insertion_echelon(rows[:i]))]
-        assert _independent_rows(rows) == grows
+        assert _int_echelon(rows, ncols) == _primitive_rref(rows)
 
 
 def test_int_echelon_falls_back_when_the_prime_loses_rank():
-    # rank 1 mod the prime, rank 2 over Q: certification must fail and the
-    # exact loop over all rows must give the answer
-    rows = [[1, 0], [1, _PRIME], [2, 0]]
-    assert _int_echelon(rows, 2) == _insertion_echelon(rows) == {0: [1, 0], 1: [0, 1]}
+    # rank 1 mod p, rank 2 over Q: for the first two primes of the loop the
+    # certificate fails and a further prime gives the answer
+    first, second = itertools.islice(modular.primes(), 2)
+    for p in (2**31 - 1, first, second):
+        assert _int_echelon([[1, 0], [1, p], [2, 0]], 2) == {0: [1, 0], 1: [0, 1]}
+        # with a column left over, the primes of the lower rank must not enter the reconstruction
+        assert _int_echelon([[1, 0, 1], [1, p, 1], [2, 0, 2], [3, 0, 3]], 3) == {0: [1, 0, 1], 1: [0, 1, 0]}
 
 
 def test_int_echelon_keeps_the_row_space_when_a_skipped_row_needs_a_later_row():
-    # the third row is the first plus the second mod the prime but needs the
-    # fourth over Q; it lies in the span of the selected rows, so no fallback
-    # runs and only the stored rows may differ from the plain loop's
-    p = _PRIME
+    # the third row is the first plus the second mod 2^31 - 1 but needs the
+    # fourth over Q; the stored rows are the primitive RREF rows in every row order
+    p = 2**31 - 1
     rows = [[1, 0, 0, 0], [0, 0, 1, 0], [1, p, 1 + p, p], [0, 1, 1, 1], [0, 0, 0, 0]]
-    got, plain = _int_echelon(rows, 4), _insertion_echelon(rows)
-    assert sorted(got) == sorted(plain)
-    assert rref(list(got.values())) == rref(list(plain.values())) == rref(rows)
+    want = _primitive_rref(rows)
+    assert want == {0: [1, 0, 0, 0], 1: [0, 1, 0, 1], 2: [0, 0, 1, 0]}
+    for order in itertools.permutations(rows):
+        assert _int_echelon(list(order), 4) == want
+
+
+def test_int_echelon_adds_primes_on_large_entries(monkeypatch):
+    # rank 3 with 100-bit entries: the RREF entries are ratios of 3 x 3 minors,
+    # so reconstruction needs many primes below 2^23
+    rng = random.Random(61)
+    basis = [[rng.randint(-(2**100), 2**100) for _ in range(5)] for _ in range(3)]
+    combos = [[rng.randint(-3, 3) for _ in basis] for _ in range(4)]
+    rows = basis + [[sum(c * r[j] for c, r in zip(cs, basis)) for j in range(5)] for cs in combos]
+    used = []
+    rref_mod = modular.rref_mod
+    monkeypatch.setattr(modular, "rref_mod", lambda a, p: used.append(p) or rref_mod(a, p))
+    got = _int_echelon(rows, 5)
+    assert got == _primitive_rref(rows)
+    assert len(used) > 10 and len(set(used)) == len(used)
+    assert max(abs(x).bit_length() for row in got.values() for x in row) > 250
+
+
+def test_a_failing_certificate_stops_at_the_hadamard_bound(monkeypatch):
+    gens = gen_double_shuffle(4) + gen_resummation(4)
+    seen = []
+    rref_mod = modular.rref_mod
+    monkeypatch.setattr(modular, "rref_mod", lambda a, p: seen.append((a, p)) or rref_mod(a, p))
+    monkeypatch.setattr(relations, "_in_span", lambda *args: False)
+    with pytest.raises(InternalError, match="weight 4: .*past the Hadamard bound"):
+        intersect_with_h0(gens, 4)
+    # every prime agrees on the pivots here, so all are kept, and the loop
+    # stops at the first product of primes above the bound
+    used = [p for _, p in seen]
+    limit = modular.hadamard_limit(seen[0][0])
+    assert prod(used[:-1]) <= limit < prod(used)
+
+
+def test_in_span_keeps_packed_entries_apart():
+    # the span of (1, 0, 0, 0): a difference entry of 2^k next to a -1 must
+    # not carry into the next packing slot and cancel it
+    span = _reduced_tails({0: [1, 0, 0, 0]}, 4)
+    assert _in_span([[5, 0, 0, 0], [0, 0, 0, 0], [-(2**100), 0, 0, 0]], *span)
+    for k in (1, 7, 8, 40, 100):
+        assert not _in_span([[0, 2**k, -1, 0]], *span)
+        assert not _in_span([[1, 0, 0, 0], [3, 0, 2**k, -1]], *span)
+
+
+def _tall_matrix(rng):
+    """More rows than columns, small rationals, with planted dependent rows and zero rows."""
+    ncols = rng.randint(2, 7)
+    rows = []
+    for _ in range(rng.randint(ncols + 1, 2 * ncols + 3)):
+        kind = rng.random()
+        if rows and kind < 0.4:
+            (r1, r2), c1, c2 = rng.choices(rows, k=2), rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)
+            rows.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+        elif kind < 0.5:
+            rows.append([Fraction(0)] * ncols)
+        else:
+            rows.append([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(ncols)])
+    return rows
+
+
+@property_examples(25)
+def test_rref_is_invariant_under_row_permutation(rng):
+    rows = _tall_matrix(rng)
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    assert rref(shuffled) == rref(rows) == _oracle_rref(rows)
+
+
+@property_examples(25)
+def test_rref_is_invariant_under_appending_integer_combinations(rng):
+    rows = _tall_matrix(rng)
+    extra = [[sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(rows[0]))] for coeffs in ([rng.randint(-5, 5) for _ in rows] for _ in range(3))]
+    assert rref(rows + extra) == rref(rows)
+
+
+@property_examples(25)
+def test_rref_is_idempotent(rng):
+    rows = _tall_matrix(rng)
+    once = rref(rows)
+    assert rref(once) == once
 
 
 def test_enumerate_basis_small():
@@ -197,7 +293,7 @@ def _double_shuffle_reference(d):
 
 
 def test_double_shuffle_order_is_the_same_with_shared_caches():
-    # _int_echelon's stored rows depend on the generator order
+    # the fraction-free short branch of _int_echelon stores rows that depend on the generator order
     shared = {}
     for d in range(2, 7):
         got = gen_double_shuffle(d, shared)
