@@ -154,14 +154,6 @@ def h_power(k):
     return HPoly((0,) * k + (1,))
 
 
-def parse_rational(text):
-    """Parse "p/q" or "p" into a Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("not a rational: %r" % (text,)) from exc
-
-
 def format_rational(x):
     """"p/q" when the denominator is not 1, else "p"."""
     x = Fraction(x)

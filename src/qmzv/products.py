@@ -8,17 +8,18 @@ recursion with different letter corrections (circle, ALPHA_TABLE); star
 is the shuffle transported through e, star(a, b) = e_inv(e(a) sh e(b)).
 The products accept an optional cache dict keyed by word pairs: A-word
 pairs for harmonic, x/y/r word pairs for shuffle and star. Passing one
-across calls of the same product is safe because all results are
-immutable and input-determined.
+across calls of the same product is safe because its entries are
+input-determined and never changed once stored.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 
 from .errors import DomainError
 from .hpoly import H, HPoly, ONE, h_power
-from .words import XI, Element, _accumulate, _raw, contract_to_a, expand_to_x, membership
+from .words import XI, Element, _accumulate, _collect, _raw, contract_to_a, expand_to_x, membership, word_degree
 
 
 def _neg_h_power(j):
@@ -26,51 +27,50 @@ def _neg_h_power(j):
     return HPoly((0,) * j + ((-1) ** j,))
 
 
-def _add_scaled(out, e, c):
-    """Accumulate c * e into the term dict out; skips the multiplies when c is 1."""
-    if c == ONE:
-        for w, p in e.terms.items():
-            _accumulate(out, w, p)
-    else:
-        for w, p in e.terms.items():
-            _accumulate(out, w, p * c)
+def _integer_terms(e, degree):
+    """The (word, n) pairs of a correction e = sum of n h^(degree - deg word) word; ValueError unless n is an integer."""
+    out = []
+    for w, p in e.terms.items():
+        n = p[j := degree - word_degree(w)]
+        if not n or n.denominator != 1 or p.coeffs != (0,) * j + (n,):
+            raise ValueError("correction term (%s) %s is not an integer times h^%d" % (p, w, j))
+        out.append((w, int(n)))
+    return out
 
 
 def _bilinear(e1, e2, correction, cache):
-    """Bilinear extension of the quasi-shuffle word product to two elements."""
+    """Bilinear extension of the quasi-shuffle word product to two elements, with HPoly coefficients."""
     out = {}
     for w1, c1 in e1.terms.items():
         for w2, c2 in e2.terms.items():
-            _add_scaled(out, _quasi_shuffle_words(w1, w2, correction, cache), c1 * c2)
-    return _raw(out)
-
-
-def _prefix(u, e):
-    return _raw({u + w: c for w, c in e.terms.items()})
+            c, top = (c1 * c2).coeffs, word_degree(w1) + word_degree(w2)
+            for w, n in _quasi_shuffle_words(w1, w2, correction, cache).items():
+                acc, j = out.setdefault(w, {}), top - word_degree(w)
+                for i, x in enumerate(c):
+                    acc[i + j] = acc.get(i + j, 0) + n * x
+    return Element({w: HPoly([acc.get(i, 0) for i in range(max(acc) + 1)]) for w, acc in out.items()})
 
 
 def _quasi_shuffle_words(w1, w2, correction, cache):
     """uw * vw' = u(w * vw') + v(uw * w') + correction(u, v)(w * w'), memoised in cache.
 
-    Works on tuple A-words and str x/y/r words alike; a cache must only
-    ever serve one correction.
+    The product is homogeneous: {word: n} stands for the sum of n h^(deg w1 + deg w2 - deg word)
+    word, as in _integer_terms. Tuple A-words and str x/y/r words alike; a cache serves one correction.
     """
-    if not w1:
-        return Element.from_word(w2)
-    if not w2:
-        return Element.from_word(w1)
+    if not w1 or not w2:
+        return {w1 + w2: 1}
     key = (w1, w2) if w1 <= w2 else (w2, w1)
     got = cache.get(key)
-    if got is not None:
-        return got
-    t1, t2 = w1[1:], w2[1:]
-    res = (
-        _prefix(w1[:1], _quasi_shuffle_words(t1, w2, correction, cache))
-        + _prefix(w2[:1], _quasi_shuffle_words(w1, t2, correction, cache))
-        + correction(w1[0], w2[0]) * _quasi_shuffle_words(t1, t2, correction, cache)
-    )
-    cache[key] = res
-    return res
+    if got is None:
+        u, v, t1, t2 = w1[:1], w2[:1], w1[1:], w2[1:]
+        terms = _integer_terms(correction(w1[0], w2[0]), word_degree(u) + word_degree(v))
+        tail = _quasi_shuffle_words(t1, t2, correction, cache)
+        got = cache[key] = _collect(chain(
+            ((u + w, n) for w, n in _quasi_shuffle_words(t1, w2, correction, cache).items()),
+            ((v + w, n) for w, n in _quasi_shuffle_words(w1, t2, correction, cache).items()),
+            ((c + w, m * n) for c, m in terms for w, n in tail.items()),
+        ))
+    return got
 
 
 def circle(a, b):
@@ -107,13 +107,17 @@ ALPHA_TABLE = {
 }
 
 
+def _alpha(u, v):
+    return ALPHA_TABLE[u, v]
+
+
 def shuffle_x(e1, e2, cache=None):
     """The integral shuffle product on x/y/r elements.
 
     Defined by the letter recursion
     uw sh vw' = u(w sh vw') + v(uw sh w') + alpha(u,v)(w sh w').
     """
-    return _bilinear(e1, e2, lambda u, v: ALPHA_TABLE[u, v], {} if cache is None else cache)
+    return _bilinear(e1, e2, _alpha, {} if cache is None else cache)
 
 
 def shuffle(e1, e2, cache=None):

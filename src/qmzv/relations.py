@@ -13,22 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from math import gcd, lcm, prod
+from operator import neg
 
 from .errors import DomainError, InternalError, NotAdmissible, NotHomogeneous
-from .hpoly import H
-from .words import (
-    Element,
-    a_words_of_degree,
-    index_from_text,
-    index_to_text,
-    is_admissible_index,
-    word_degree,
-    word_in_space,
-    word_to_index,
-)
-from .products import harmonic, phi, shuffle
+from .hpoly import HPoly
+from .words import XI, Element, _collect, _raw, a_words_of_degree, contract_word, expand_word, index_from_text, index_to_text
+from .words import is_admissible_index, is_admissible_start, word_degree, word_in_space, word_to_index
+from .products import _alpha, _quasi_shuffle_words, circle, harmonic, phi  # noqa: F401 (harmonic: a binding callers use)
 from .evaluate import zbar_q
 
 
@@ -63,19 +57,25 @@ def enumerate_basis(d):
 
 
 def _h_lifted(family, d, caches, new):
-    """A generator family's weight-d list: new(d), then h times its weight-(d-1) list.
+    """A generator family's weight-d rows: new(d), then its weight-(d-1) rows.
 
-    That tail is every h^j multiple (j >= 1) of the lower weights, in order;
-    each weight's list is built once and kept in caches[family].
+    An {A-word: int} row leaves its h powers to the weight it is read at, so that tail is
+    every h^j multiple (j >= 1) of the lower weights; each list is kept in caches[family].
     """
     lists = caches.setdefault(family, {})
     got = lists.get(d)
     if got is None:
         got = new(d)
         if d > 1:
-            got += [g.scale(H) for g in _h_lifted(family, d - 1, caches, new)]
+            got += _h_lifted(family, d - 1, caches, new)
         lists[d] = got
     return got
+
+
+def _elements(rows, d):
+    """The weight-d Elements of {A-word: int} rows, each n w read as n h^(d - deg w) w."""
+    monomial = cache(lambda j, n: HPoly((0,) * j + (n,)))
+    return [_raw({w: monomial(d - word_degree(w), n) for w, n in row.items()}) for row in rows]
 
 
 def gen_double_shuffle(d, caches=None):
@@ -84,29 +84,33 @@ def gen_double_shuffle(d, caches=None):
     Enumerates unordered pairs of admissible-start words with degree sum
     d - j for every j >= 0 and lifts by h^j, so the list is homogeneous of
     weight d. Deterministic order: j ascending, then degrees, then words.
-    Each weight's list is kept in caches["double_shuffle"].
+    Each weight's rows are kept in caches["double_shuffle"].
     """
     if d < 2:
         raise ValueError("double shuffle needs weight >= 2")
     caches = {} if caches is None else caches
-    return list(_h_lifted("double_shuffle", d, caches, lambda k: _shuffle_pairs(k, caches)))
+    return _elements(_h_lifted("double_shuffle", d, caches, lambda k: _shuffle_pairs(k, caches)), d)
 
 
 def _shuffle_pairs(d, caches):
-    """w * w' - w sh w' over unordered pairs of admissible-start words of degree sum d."""
-    hc = caches.setdefault("harmonic", {})
-    sc = caches.setdefault("shuffle", {})
+    """w * w' - w sh w' as rows over unordered pairs of admissible-start words of degree sum d."""
+    hc, sc, contracted = (caches.setdefault(k, {}) for k in ("harmonic", "shuffle", "contract"))
     out = []
     for m1 in range(1, d // 2 + 1):
         words1 = list(a_words_of_degree(m1, admissible_only=True))
         words2 = list(a_words_of_degree(d - m1, admissible_only=True))
         for i1, w1 in enumerate(words1):
-            e1 = Element.from_word(w1)
             for w2 in words2[i1 if 2 * m1 == d else 0 :]:
-                e2 = Element.from_word(w2)
-                el = harmonic(e1, e2, hc) - shuffle(e1, e2, sc)
-                if el:
-                    out.append(el)
+                sh = _collect(
+                    (w, s1 * s2 * n)
+                    for x1, s1 in expand_word(w1)
+                    for x2, s2 in expand_word(w2)
+                    for w, n in _quasi_shuffle_words(x1, x2, _alpha, sc).items()
+                )
+                contracted.update((x, tuple(contract_word(x))) for x in sh.keys() - contracted.keys())
+                minus = ((w, -s * n) for x, n in sh.items() for w, s in contracted[x])
+                if row := _collect(chain(_quasi_shuffle_words(w1, w2, circle, hc).items(), minus)):
+                    out.append(row)
     return out
 
 
@@ -117,40 +121,43 @@ def gen_resummation(d, include_hbar_lifts=True, caches=None):
     phi-rho word and its dual (reverse the factors, swap each (a, b)); the
     self-dual compositions are dropped since they vanish. With lifts on,
     h^j times the weight-(d-j) generators are appended for j >= 1, and each
-    weight's list is kept in caches["resummation"].
+    weight's rows are kept in caches["resummation"].
     """
     if d < 1:
         raise ValueError("resummation needs weight >= 1")
-    if not include_hbar_lifts:
-        return _dual_differences(d)
-    return list(_h_lifted("resummation", d, {} if caches is None else caches, _dual_differences))
+    caches = {} if caches is None else caches
+    rows = _h_lifted("resummation", d, caches, _dual_differences) if include_hbar_lifts else _dual_differences(d)
+    return _elements(rows, d)
+
+
+def _concat(a, b):
+    """The concatenation product of two {word: int} rows."""
+    return _collect((u + w, m * n) for u, m in a.items() for w, n in b.items())
 
 
 def _dual_differences(d):
-    """phi-rho word minus its dual for each composition of weight sum d.
+    """phi-rho word minus its dual for each composition of weight sum d, as rows.
 
     levels[t] maps each composition ((a_1,b_1),...) with sum(a+b+1) = t to its
     word phi_(a_1+1) rho^b_1 ..., ordered by (a_1, b_1), then by the rest. A
     dual is another composition of total d, so every word is built once.
     """
-    rho = Element((((1,), 1), ((0,), -1)))  # z_1 - xi
-    levels = [{(): Element.unit()}]
+    rho = {(1,): 1, (XI,): -1}  # z_1 - xi
+    levels = [{(): {(): 1}}]
     for t in range(1, d + 1):
         level = {}
         for a in range(t):
-            block = phi(a + 1)
+            block = _word_ints(phi(a + 1), a + 1)[1]
             for b in range(t - a):
                 for rest, word in levels[t - a - b - 1].items():
-                    level[((a, b),) + rest] = block * word
-                block = block * rho
+                    level[((a, b),) + rest] = _concat(block, word)
+                block = _concat(block, rho)
         levels.append(level)
     out = []
     for comp, word in levels[d].items():
         dual = tuple((b, a) for a, b in reversed(comp))
-        if dual != comp:
-            el = word - levels[d][dual]
-            if el:
-                out.append(el)
+        if dual != comp and (row := _collect(chain(word.items(), ((w, -n) for w, n in levels[d][dual].items())))):
+            out.append(row)
     return out
 
 
@@ -260,7 +267,7 @@ def _in_span(rows, non, den, tails):
     2^(width - 1), so the packed difference is zero only when every entry is.
     """
     top = max([den] + [abs(x) for tail in tails.values() for x in tail])
-    width = (max(sum(map(abs, row)) for row in rows) * top).bit_length() + 1
+    width = (max((sum(map(abs, row)) for row in rows), default=0) * top).bit_length() + 1
     packed = {c: sum(x << (width * k) for k, x in enumerate(tail) if x) for c, tail in tails.items()}
     slot = {j: width * k for k, j in enumerate(non)}
     for row in rows:
@@ -279,7 +286,7 @@ def _int_echelon(int_rows, ncols):
     With no more rows than columns this is _insertion_echelon, which keeps
     small systems free of numpy. With more rows it is the exact reduced
     echelon form, each row a primitive integer row with a positive pivot
-    entry, found multimodularly (see the modular module):
+    entry, found multimodularly (see the modular module) from the rows less their repeats up to sign:
 
     1. the RREF mod each prime of modular.primes() in turn. Mod p the rank
        is never higher, and no pivot column earlier, than over Q, and a
@@ -305,6 +312,7 @@ def _int_echelon(int_rows, ncols):
         return _insertion_echelon(int_rows)
     from . import modular
 
+    int_rows = list({tuple(r if next(filter(None, r), 0) >= 0 else map(neg, r)): r for r in int_rows}.values())
     a = modular.integer_matrix(int_rows)
     limit = modular.hadamard_limit(a)
     best, kept = None, []
@@ -373,28 +381,35 @@ class RelationBasis:
         return len(self.rows)
 
 
+def _word_ints(e, d):
+    """(den, {A-word: den * its coefficient of h^(d - deg word)}); NotHomogeneous or DomainError off the basis."""
+    coeffs = {}
+    for word, coeff in e.terms.items():
+        j, cs = d - word_degree(word), coeff.coeffs
+        if j < 0 or len(cs) != j + 1 or any(cs[:j]):
+            raise NotHomogeneous("term (%s) %s is not of weight %d" % (coeff, word, d))
+        if type(word) is not tuple or not is_admissible_start(word):
+            raise DomainError("word %s is not in the weight-%d admissible basis" % (word, d))
+        coeffs[word] = cs[j]
+    den = lcm(1, *(c.denominator for c in coeffs.values()))
+    return den, {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
+
+
 def element_coordinates(e, basis):
     """Coordinates of a weight-homogeneous element in a GradedBasis order."""
-    d = basis.weight
-    row = [Fraction(0)] * len(basis.monomials)
-    for word, coeff in e.terms.items():
-        j = d - word_degree(word)
-        if j < 0:
-            raise NotHomogeneous("word %s exceeds weight %d" % (word, d))
-        for power, c in enumerate(coeff.coeffs):
-            if c and power != j:
-                raise NotHomogeneous("term of weight %d in a weight-%d element" % (power + word_degree(word), d))
-        col = basis.columns.get(word)
-        if col is None:
-            raise DomainError("word %s is not in the weight-%d admissible basis" % (word, d))
-        row[col] = coeff[j]
-    return row
+    den, ints = _word_ints(e, basis.weight)
+    cols = {basis.columns[w]: Fraction(n, den) for w, n in ints.items()}
+    return [cols.get(i, Fraction(0)) for i in range(len(basis.monomials))]
 
 
-def _int_row(e, basis, order):
-    """The integer multiple of e's coordinates, with the columns taken in the given order."""
-    coords = element_coordinates(e, basis)
-    return _to_int_row([coords[i] for i in order])
+def _int_rows(generators, d, position):
+    """The nonzero integer rows of weight-d elements; position maps each basis word to its column."""
+    rows = []
+    for g in filter(None, generators):
+        rows.append(row := [0] * len(position))
+        for w, n in _word_ints(g, d)[1].items():
+            row[position[w]] = n
+    return rows
 
 
 def _h0_columns(basis):
@@ -417,7 +432,7 @@ def intersect_with_h0(generators, d, hbar_lifts=True):
     h0_cols, index_basis = _h0_columns(basis)
     order = [i for i, f in enumerate(basis.h0_flags) if not f] + h0_cols
     n_non = len(order) - len(h0_cols)
-    int_rows = [row for row in (_int_row(e, basis, order) for e in generators) if any(row)]
+    int_rows = _int_rows(generators, d, {basis.monomials[i][1]: k for k, i in enumerate(order)})
     try:
         pivots = _int_echelon(int_rows, len(order))
     except InternalError as exc:
@@ -434,11 +449,9 @@ def relation_basis(d, include_hbar_lifts=True, caches=None):
 
 def in_row_space(e, generators, d):
     """Exact membership of a weight-d element in the rational generator span."""
-    basis = enumerate_basis(d)
-    order = range(len(basis.monomials))
-    rows = [row for row in (_int_row(g, basis, order) for g in generators) if any(row)]
-    span = _reduced_tails(_int_echelon(rows, len(order)), len(order))
-    return _in_span([_int_row(e, basis, order)], *span)
+    columns = enumerate_basis(d).columns
+    span = _reduced_tails(_int_echelon(_int_rows(generators, d, columns), len(columns)), len(columns))
+    return _in_span(_int_rows([e], d, columns), *span)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ works for both bases since tuples and strings share concatenation.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DomainError, NotAnIndexWord, NotHomogeneous, NotInH1
@@ -43,7 +44,9 @@ def word_degree(w):
     """Degree of a word in either basis."""
     if isinstance(w, str):
         return len(w)
-    return sum(letter_degree(u) for u in w)
+    if w and min(w) < XI:
+        raise ValueError("not an A-letter code: %r" % (min(w),))
+    return sum(w) + w.count(XI)
 
 
 def weight(hbar_power, word):
@@ -252,61 +255,41 @@ def index_from_text(text):
     return parts
 
 
-_XI_EXPANSION = (("y", ONE), ("r", HPoly(-1)))
+# xi = y - r and r = z_1 - xi as (word, sign) pairs; an x/y/r word is a string of blocks x^(k-1)y and r.
+_XI_EXPANSION = (("y", 1), ("r", -1))
+_RHO_EXPANSION = (((1,), 1), ((XI,), -1))
+_X_BLOCK = re.compile("x*y|r")
+
+
+def _signed_products(factors, unit):
+    """Every concatenation of one (word, sign) alternative per factor, with its sign."""
+    partial = [(unit, 1)]
+    for alternatives in factors:
+        partial = [(w + u, s * t) for w, s in partial for u, t in alternatives]
+    return partial
+
+
+def expand_word(word):
+    """Yield the x/y/r expansion of one A-word as (word, +-1) pairs: xi -> y - r, z_k -> x^(k-1)y."""
+    yield from _signed_products([_XI_EXPANSION if u == XI else (("x" * (u - 1) + "y", 1),) for u in word], "")
+
+
+def contract_word(word):
+    """Yield (A-word, +-1) pairs expanding an x/y/r word: x^(k-1)y -> z_k, r -> z_1 - xi; NotInH1 off those."""
+    blocks = _X_BLOCK.findall(word)
+    if sum(map(len, blocks)) != len(word):
+        raise NotInH1("x-run not followed by y in %r" % (word,))
+    yield from _signed_products([_RHO_EXPANSION if b == "r" else (((len(b),), 1),) for b in blocks], ())
 
 
 def expand_to_x(e):
     """Rewrite an A-element over {x, y, r}: xi -> y - r, z_k -> x^(k-1)y."""
-    out = {}
-    for word, coeff in e.terms.items():
-        partial = [("", coeff)]
-        for u in word:
-            if u == XI:
-                partial = [(w + c, k * s) for w, k in partial for c, s in _XI_EXPANSION]
-            else:
-                block = "x" * (u - 1) + "y"
-                partial = [(w + block, k) for w, k in partial]
-        for w, c in partial:
-            _accumulate(out, w, c)
-    return _raw(out)
-
-
-def _rho_block():
-    return Element((((1,), ONE), ((XI,), HPoly(-1))))
-
-
-# r = z_1 - xi as (A-word, sign) pairs.
-_RHO_EXPANSION = (((1,), 1), ((XI,), -1))
+    return Element((w, c if s > 0 else -c) for word, c in e.terms.items() for w, s in expand_word(word))
 
 
 def contract_to_a(e):
-    """Inverse of expand_to_x on block-decomposable words.
-
-    Each x/y/r word must factor as blocks x^(k-1)y (giving z_k) and single
-    letters r (giving z_1 - xi). Raises NotInH1 otherwise.
-    """
-    out = {}
-    for word, coeff in e.terms.items():
-        partial = [((), 1)]
-        i = 0
-        n = len(word)
-        while i < n:
-            if word[i] == "r":
-                partial = [(w + u, s * t) for w, s in partial for u, t in _RHO_EXPANSION]
-                i += 1
-                continue
-            j = i
-            while j < n and word[j] == "x":
-                j += 1
-            if j >= n or word[j] != "y":
-                raise NotInH1("x-run not followed by y in %r" % (word,))
-            block = (j - i + 1,)
-            partial = [(w + block, s) for w, s in partial]
-            i = j + 1
-        neg = -coeff
-        for w, s in partial:
-            _accumulate(out, w, coeff if s > 0 else neg)
-    return _raw(out)
+    """Inverse of expand_to_x on block-decomposable words; raises NotInH1 off them."""
+    return Element((w, c if s > 0 else -c) for word, c in e.terms.items() for w, s in contract_word(word))
 
 
 def decompose_h0hat(e):
@@ -339,6 +322,14 @@ def decompose_h0hat(e):
     return _raw(part2), {r: _raw(data) for r, data in buckets.items() if data}
 
 
+def _collect(pairs):
+    """{word: n} summing (word, int n) pairs, zero sums dropped."""
+    out = {}
+    for w, n in pairs:
+        out[w] = out.get(w, 0) + n
+    return {w: n for w, n in out.items() if n}
+
+
 def _accumulate(data, word, coeff):
     prev = data.get(word)
     total = coeff if prev is None else prev + coeff
@@ -351,7 +342,7 @@ def _accumulate(data, word, coeff):
 def xi_rho_times(r, e):
     """Left-multiply an A-element by xi r^r, expanded in the A-basis."""
     prefix = Element.from_word((XI,))
-    rho = _rho_block()
+    rho = Element(_RHO_EXPANSION)
     for _ in range(r):
         prefix = prefix * rho
     return prefix * e

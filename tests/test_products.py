@@ -36,6 +36,7 @@ from qmzv.products import (
     shuffle_x,
     star,
 )
+from qmzv.products import _integer_terms
 
 from random_elements import property_examples, rational_coeff, rational_element
 
@@ -82,6 +83,30 @@ def test_harmonic_commutative_and_associative():
 def test_harmonic_preserves_weight():
     a, b = E((2,), H), E((3, 1))
     assert element_weight(harmonic(a, b)) == 7
+
+
+def test_products_of_words_are_integers_times_the_missing_h_power():
+    # the word recursion keeps integers only, the power of h implied by the degrees
+    words = [w for m in range(7) for w in a_words_of_degree(m, admissible_only=True)]
+    pairs = [(w1, w2) for i, w1 in enumerate(words) for w2 in words[i:] if word_degree(w1) + word_degree(w2) <= 6]
+    for w1, w2 in pairs:
+        top = word_degree(w1) + word_degree(w2)
+        for product in (harmonic, shuffle):
+            for w, c in product(E(w1), E(w2)).terms.items():
+                n = c[top - word_degree(w)]
+                assert n.denominator == 1 and c == h_power(top - word_degree(w)) * n, (product, w1, w2, w)
+
+
+def test_integer_corrections_are_read_off_circle_and_alpha():
+    assert _integer_terms(circle(2, 3), 5) == [((5,), 1), ((4,), 1)]
+    assert _integer_terms(circle(XI, XI), 2) == [((2,), 1), ((XI,), -1)]
+    assert _integer_terms(ALPHA_TABLE["x", "x"], 2) == [("x", 1)]
+    assert _integer_terms(ALPHA_TABLE["r", "y"], 2) == [("yr", -1)]
+    assert _integer_terms(ALPHA_TABLE["x", "y"], 2) == []
+    not_monomials = [E((2,), ONE + H), E((2,), HPoly(Fraction(1, 2))), E((2,), H), E((3,)), E((2,)) + E((XI,), h_power(2))]
+    for e in not_monomials:
+        with pytest.raises(ValueError):
+            _integer_terms(e, 2)
 
 
 def test_alpha_table_symmetric():

@@ -364,6 +364,49 @@ def test_resummation_order_is_the_same_with_shared_caches():
             assert gen_resummation(d, lifts, shared) == gen_resummation(d, lifts)
 
 
+# sha256 of the canonical texts of the generators for d = 2..7 in order, one
+# line per generator, computed when they were still built through the Element
+# products; the integer rows must give the same Elements
+GENERATOR_DIGESTS = {
+    "double shuffle": "77de2d72bf4ea8a634b7805367f461bbd977040e69f75ea5849f00ac5330bf01",
+    "resummation with lifts": "44e763741046660b97f886dcd2c187ec0b81a3286d323f9aaab36bcf321b489b",
+    "resummation without lifts": "cf645305a9ae02d803a5ca0aeaff7db81961afe360f11ea015fac487ff527ae6",
+}
+
+
+def test_generator_texts_match_the_recorded_digests():
+    caches = {}
+    families = {
+        "double shuffle": lambda d: gen_double_shuffle(d, caches),
+        "resummation with lifts": lambda d: gen_resummation(d, True, caches),
+        "resummation without lifts": lambda d: gen_resummation(d, False, caches),
+    }
+    for name, gens in families.items():
+        text = "\n".join(format_element(g) for d in range(2, 8) for g in gens(d))
+        assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[name], name
+
+
+@pytest.mark.parametrize("lifts", [True, False])
+def test_relation_basis_matches_the_element_product_generators(lifts):
+    # relation_basis builds its generators from integer rows; the references
+    # build every generator with the public harmonic, shuffle and Element products
+    caches = {}
+    for d in range(2, 7):
+        gens = _double_shuffle_reference(d) + _resummation_reference(d, lifts)
+        assert relation_basis(d, lifts, caches) == intersect_with_h0(gens, d, lifts)
+
+
+def test_int_echelon_eliminates_each_row_once_up_to_sign(monkeypatch):
+    rng = random.Random(67)
+    rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
+    tall = rows + [[-x for x in r] for r in rows] + rows
+    shapes = []
+    integer_matrix = modular.integer_matrix
+    monkeypatch.setattr(modular, "integer_matrix", lambda r: shapes.append(len(r)) or integer_matrix(r))
+    assert _int_echelon(tall, 4) == _primitive_rref(rows)
+    assert shapes == [3]
+
+
 def test_resummation_lift_flag():
     with_lifts = gen_resummation(3)
     without = gen_resummation(3, include_hbar_lifts=False)

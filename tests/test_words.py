@@ -15,9 +15,11 @@ from qmzv.words import (
     Element,
     a_words_of_degree,
     contract_to_a,
+    contract_word,
     decompose_h0hat,
     element_weight,
     expand_to_x,
+    expand_word,
     index_from_text,
     index_to_text,
     index_to_word,
@@ -54,6 +56,13 @@ def test_letter_and_word_degrees():
     assert word_degree(()) == 0
     assert word_degree((XI, 2, 1)) == 4
     assert weight(2, (3,)) == 5
+
+
+def test_word_degree_rejects_letter_codes_below_xi():
+    assert word_degree((XI, XI, 7)) == 9
+    for bad in ((RHO,), (2, -3, XI)):
+        with pytest.raises(ValueError, match="not an A-letter code"):
+            word_degree(bad)
 
 
 def test_element_normalization():
@@ -175,6 +184,23 @@ def test_expand_examples():
     xi = expand_to_x(Element.from_word((XI,)))
     assert xi.coeff("y") == ONE and xi.coeff("r") == HPoly((-1,))
     assert expand_to_x(Element.from_word((1,))).terms == {"y": ONE}
+
+
+def test_word_expansions_are_signed_words():
+    assert list(expand_word((XI, 2))) == [("yxy", 1), ("rxy", -1)]
+    assert list(expand_word(())) == [("", 1)]
+    assert list(contract_word("rxxy")) == [((1, 3), 1), ((XI, 3), -1)]
+    for bad in ("yx", "xr", "q"):
+        with pytest.raises(NotInH1):
+            list(contract_word(bad))
+    # contracting a word's signed expansion gives the word back
+    for m in range(6):
+        for w in a_words_of_degree(m):
+            total = {}
+            for x, s in expand_word(w):
+                for a, t in contract_word(x):
+                    total[a] = total.get(a, 0) + s * t
+            assert {a: n for a, n in total.items() if n} == {w: 1}
 
 
 def test_contract_rejects_trailing_x_runs():
