@@ -17,7 +17,7 @@ from .errors import QmzvError
 from .expr import format_element, parse_element
 from .words import Element, a_words_of_degree, index_from_text, index_to_text, word_degree
 from .products import harmonic, shuffle, star
-from .evaluate import QContext, l_value, z_q, zbar_q
+from .evaluate import QContext, _suffix_tables, l_value, z_q
 from .relations import (
     dims_table,
     gen_double_shuffle,
@@ -215,7 +215,7 @@ def cmd_dims(args):
     return "\n".join(lines), doc, None, 0
 
 
-def _spot_check_products(weight, ctx):
+def _spot_check_products(weight, ctx, tables):
     """Deviations of Z_q(w . w') from Z_q(w) Z_q(w') on all small pairs."""
     cap = min(weight, 5)
     words = []
@@ -230,9 +230,9 @@ def _spot_check_products(weight, ctx):
     cache = {}
     for w1, w2 in pairs:
         e1, e2 = Element.from_word(w1), Element.from_word(w2)
-        r1, r2 = z_q(e1, ctx), z_q(e2, ctx)
+        r1, r2 = z_q(e1, ctx, tables), z_q(e2, ctx, tables)
         for name, prod in (("harmonic", harmonic), ("shuffle", shuffle)):
-            rp = z_q(prod(e1, e2, cache.setdefault(name, {})), ctx)
+            rp = z_q(prod(e1, e2, cache.setdefault(name, {})), ctx, tables)
             dev = abs(rp.value - r1.value * r2.value)
             allowed = ctx.tol + rp.tail_bound + r1.tail_bound * (abs(r2.value) + r2.tail_bound) + r2.tail_bound * abs(r1.value)
             out[name].append((dev, allowed))
@@ -246,7 +246,8 @@ def cmd_verify(args):
             basis = relation_basis_from_doc(json.load(fh))
     else:
         basis = relation_basis(args.weight, not args.no_hbar_lifts)
-    report = verify_numeric(basis, ctx)
+    tables = _suffix_tables(ctx)  # one suffix memo for every series this request evaluates
+    report = verify_numeric(basis, ctx, tables)
     families = [{"name": "relations", "checks": len(report.rows), "max_abs": report.max_abs, "ok": report.all_ok}]
     lines = ["relations weight=%d: %d rows, max |value| %.3g: %s" % (report.weight, len(report.rows), report.max_abs, "ok" if report.all_ok else "FAIL")]
     failures = []
@@ -255,7 +256,7 @@ def cmd_verify(args):
             detail = "row %d: |value| %.3g exceeds %.3g; 0 = %s" % (chk.row, chk.value, chk.allowed, _format_row(basis.rows[chk.row], basis.index_basis))
             failures.append(detail)
             lines.append("  FAIL " + detail)
-    spots = _spot_check_products(basis.weight, ctx)
+    spots = _spot_check_products(basis.weight, ctx, tables)
     for name in ("harmonic", "shuffle"):
         checks = spots[name]
         worst = max((d for d, _ in checks), default=0.0)

@@ -6,6 +6,11 @@ a rigorous tail bound (for real q in (0,1); other parameters fall back to
 the same formula flagged as heuristic). The coefficient variable h is
 evaluated at 1 - q before summation. Exact mode keeps every partial sum a
 Fraction.
+
+F-tables come from a suffix memo (``_Tables``) for one q, N and mode: a
+word's table extends its longest stored suffix, so the words of an element,
+of the three series of a q-difference check, or of a whole ``verify`` build
+each suffix once, with the same values as a fresh table.
 """
 
 from __future__ import annotations
@@ -104,15 +109,10 @@ def _q_powers(q, N, one):
     return out
 
 
-def i_letter(u, n, ctx):
-    """I_u(n): q^n/[n] for xi, q^((k-1)n)/[n]^k for z_k, 1-q for rho."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q = ctx.q_value
+def _letter(u, qn, qint, q):
+    """I_u at one n, from q^n and [n]: the letter formula of i_letter and the tables."""
     if u == RHO:
         return 1 - q
-    qn = q**n
-    qint = (1 - qn) / (1 - q)
     if u == XI:
         return qn / qint
     if u >= 1:
@@ -120,15 +120,62 @@ def i_letter(u, n, ctx):
     raise ValueError("bad letter code %r" % (u,))
 
 
-def _letter_series(u, qpow, qints, upto):
-    """I_u(n) for n = 0..upto-1 (index 0 unused, stored as 0)."""
-    vals = [0] * upto
-    for n in range(1, upto):
-        if u == XI:
-            vals[n] = qpow[n] / qints[n]
-        else:
-            vals[n] = qpow[n] ** (u - 1) / qints[n] ** u
-    return vals
+def i_letter(u, n, ctx):
+    """I_u(n): q^n/[n] for xi, q^((k-1)n)/[n]^k for z_k, 1-q for rho."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    q = ctx.q_value
+    qn = q**n
+    return _letter(u, qn, (1 - qn) / (1 - q), q)
+
+
+class _Tables:
+    """F-tables of word suffixes for one (q, N, mode), each suffix built once.
+
+    A word's table extends its longest stored suffix one letter at a time by
+    F_{uw}(n) = F_{uw}(n-1) + I_u(n-1) F_w(n-1), with the operations of a
+    fresh table in the same order, so sharing a memo changes no bit of any
+    value. A memo lives for one call or one verify, never in the module.
+    """
+
+    def __init__(self, N, ctx):
+        q = self.q = ctx.q_value
+        self.N, self.key = N, (ctx.mode, type(q), q, N)
+        one = self.one = Fraction(1) if ctx.mode == "exact" else (1.0 + 0j if isinstance(q, complex) else 1.0)
+        zero = self.zero = one * 0
+        self.qpow = _q_powers(q, N, one)
+        self.qints = [zero] + [(1 - self.qpow[n]) / (1 - q) for n in range(1, N + 1)]
+        self.letters, self.tables, self.tails = {}, {(): [one] * (N + 1)}, {}
+
+    def table(self, word):
+        """F_word(n) for n = 0..N; the list is shared, not to be changed."""
+        i = 0
+        while word[i:] not in self.tables:
+            i += 1
+        vals = self.tables[word[i:]]
+        for j in range(i - 1, -1, -1):
+            u = word[j]
+            if u not in self.letters:  # I_u(n) for n = 0..N-1, index 0 unused
+                self.letters[u] = [0] + [_letter(u, self.qpow[n], self.qints[n], self.q) for n in range(1, self.N)]
+            ivals, cur, acc = self.letters[u], [self.zero] * (self.N + 1), self.zero
+            for m in range(1, self.N + 1):
+                acc = acc + ivals[m - 1] * vals[m - 1]
+                cur[m] = acc
+            self.tables[word[j:]] = vals = cur
+        return vals
+
+    def tail(self, x, r):
+        """binom_tail(x, N, r), computed once per (x, r)."""
+        if (x, r) not in self.tails:
+            self.tails[x, r] = binom_tail(x, self.N, r)
+        return self.tails[x, r]
+
+
+def _suffix_tables(ctx, tables=None):
+    """tables, checked against ctx's q, N and mode; a fresh memo when None."""
+    if tables is not None and tables.key != (ctx.mode, type(ctx.q_value), ctx.q_value, ctx.N):
+        raise ValueError("suffix tables were built for another q, N or mode")
+    return _Tables(ctx.N, ctx) if tables is None else tables
 
 
 def f_word_table(word, N, ctx):
@@ -136,21 +183,7 @@ def f_word_table(word, N, ctx):
 
     F_1(n) = 1 and F_{uw}(n) = F_{uw}(n-1) + I_u(n-1) F_w(n-1); cost O(len(word)*N).
     """
-    q = ctx.q_value
-    one = Fraction(1) if ctx.mode == "exact" else (1.0 + 0j if isinstance(q, complex) else 1.0)
-    zero = one * 0
-    qpow = _q_powers(q, N, one)
-    qints = [zero] + [(1 - qpow[n]) / (1 - q) for n in range(1, N + 1)]
-    vals = [one] * (N + 1)
-    for u in reversed(word):
-        ivals = _letter_series(u, qpow, qints, N)
-        cur = [zero] * (N + 1)
-        acc = zero
-        for m in range(1, N + 1):
-            acc = acc + ivals[m - 1] * vals[m - 1]
-            cur[m] = acc
-        vals = cur
-    return vals
+    return _Tables(N, ctx).table(tuple(word))
 
 
 def f_word(w, N, ctx):
@@ -158,83 +191,79 @@ def f_word(w, N, ctx):
     return f_word_table(w, N, ctx)[N]
 
 
-def _word_tail(word, ctx):
-    """Tail bound for Z_q(word) truncated at the context N.
+def z_q(e, ctx, tables=None):
+    """Truncated evaluation of Z_q on an element of the admissible span.
 
-    Every summand with outer index n is at most |q|^n (the admissible first
-    letter supplies it, the others are bounded by 1 for real q in (0,1)),
-    and there are C(n-1, r-1) summands.
+    tables is a suffix memo of the same q, N and mode shared with other
+    calls; by default the words of e share a fresh one. Every summand of a
+    word with outer index n is at most |q|^n (the admissible first letter
+    supplies it, the others are bounded by 1 for real q in (0,1)), and there
+    are C(n-1, r-1) of them, so binom_tail bounds the dropped tail.
     """
-    return binom_tail(abs(ctx.q_value), ctx.N, len(word))
-
-
-def z_q(e, ctx):
-    """Truncated evaluation of Z_q on an element of the admissible span."""
     if not membership(e, "H0hat"):
         raise DomainError("z_q needs an element of the admissible span")
-    q = ctx.q_value
-    hval = 1 - q
-    one = Fraction(1) if ctx.mode == "exact" else (1.0 + 0j if isinstance(q, complex) else 1.0)
-    value = one * 0
+    tables = _suffix_tables(ctx, tables)
+    hval = 1 - ctx.q_value
+    x = abs(ctx.q_value)
+    value = tables.zero
     tail = 0.0
     for word, coeff in e.terms.items():
         c = coeff.evaluate(hval)
         if not word:
             value = value + c
             continue
-        value = value + c * f_word(word, ctx.N, ctx)
-        tail += float(abs(c)) * _word_tail(word, ctx)
+        value = value + c * tables.table(word)[ctx.N]
+        tail += float(abs(c)) * tables.tail(x, len(word))
     return EvalResult(value, tail, ctx.certified)
 
 
-def zbar_q(e, ctx):
+def zbar_q(e, ctx, tables=None):
     """The weight-normalized series (1-q)^(-d) Z_q(e) for homogeneous e."""
     d = element_weight(e)
     if d is None:
         return EvalResult(0, 0.0, ctx.certified)
-    base = z_q(e, ctx)
+    base = z_q(e, ctx, tables)
     scale = (1 - ctx.q_value) ** (-d)
     return EvalResult(base.value * scale, base.tail_bound * float(abs(scale)), base.certified)
 
 
-def l_value(e, t, ctx):
+def l_value(e, t, ctx, tables=None):
     """The q-polylogarithm L_e(t), truncated at the context N.
 
     For a word u w the outer factor is t^n/[n] when u is xi and t^n/[n]^k
-    when u is z_k; L_1(t) = 1. Requires |t| < 1.
+    when u is z_k; L_1(t) = 1. Requires |t| < 1. The tables of the words w
+    come from one suffix memo, as in z_q.
     """
     if not abs(t) < 1:
         raise DomainError("l_value needs |t| < 1")
     if not membership(e, "H0hat"):
         raise DomainError("l_value needs an element of the admissible span")
+    tables = _suffix_tables(ctx, tables)
     q = ctx.q_value
     hval = 1 - q
-    exact = ctx.mode == "exact"
-    if exact:
+    if ctx.mode == "exact":
         t = Fraction(t)
     elif not isinstance(t, complex):
         t = float(t)
-    one = Fraction(1) if exact else (1.0 + 0j if isinstance(q, complex) or isinstance(t, complex) else 1.0)
-    zero = one * 0
-    N = ctx.N
-    value = zero
+    N, one, qints = ctx.N, tables.one, tables.qints
+    if isinstance(t, complex) and not isinstance(one, complex):  # real q: [n] in complex arithmetic
+        one = one + 0j
+        qints = [one * 0] + [(1 - qn) / (1 - q) for qn in _q_powers(q, N, one)[1:]]
+    zero = value = one * 0
     tail = 0.0
     tpow = _q_powers(t, N, one)
-    qpow = _q_powers(q, N, one)
-    qints = [zero] + [(1 - qpow[n]) / (1 - q) for n in range(1, N + 1)]
     for word, coeff in e.terms.items():
         c = coeff.evaluate(hval)
         if not word:
             value = value + c
             continue
-        u, tail_word = word[0], word[1:]
-        table = f_word_table(tail_word, N, ctx)
+        u, table = word[0], tables.table(word[1:])
         acc = zero
         for n in range(1, N):
             outer = tpow[n] / qints[n] if u == XI else tpow[n] / qints[n] ** u
             acc = acc + outer * table[n]
         value = value + c * acc
-        tail += float(abs(c)) * binom_tail(abs(t), N, len(tail_word) + 1)
+        tail += float(abs(c)) * tables.tail(abs(t), len(word))
     certified = ctx.certified and not isinstance(t, complex) and 0 < t < 1
     return EvalResult(value, tail, certified)
 
@@ -263,14 +292,15 @@ def dq_check(e, t, ctx):
         t = Fraction(t)
     elif not isinstance(t, complex):
         t = float(t)
-    lhs = (l_value(e, t, ctx).value - l_value(e, q * t, ctx).value) / ((1 - q) * t)
+    tables = _suffix_tables(ctx)
+    lhs = (l_value(e, t, ctx, tables).value - l_value(e, q * t, ctx, tables).value) / ((1 - q) * t)
     if not buckets:
         form, r = "graded2", None
-        rhs = l_value(delta0(e), t, ctx).value / t
+        rhs = l_value(delta0(e), t, ctx, tables).value / t
     elif part2.is_zero() and len(buckets) == 1:
         ((r, inner),) = buckets.items()
         form = "xi_rho"
-        rhs = ((1 - q) * t) ** r / (1 - t) ** (r + 1) * l_value(delta1(inner), t, ctx).value
+        rhs = ((1 - q) * t) ** r / (1 - t) ** (r + 1) * l_value(delta1(inner), t, ctx, tables).value
     else:
         raise DomainError("element is neither z-graded nor a single xi r^r component")
     return DqReport(form, r, lhs, rhs, lhs - rhs)

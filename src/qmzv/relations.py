@@ -23,7 +23,7 @@ from .hpoly import HPoly
 from .words import XI, Element, _collect, _raw, a_words_of_degree, contract_word, expand_word, index_from_text, index_to_text
 from .words import is_admissible_index, is_admissible_start, word_degree, word_in_space, word_to_index
 from .products import _alpha, _quasi_shuffle_words, circle, harmonic, phi  # noqa: F401 (harmonic: a binding callers use)
-from .evaluate import zbar_q
+from .evaluate import _suffix_tables, zbar_q
 
 
 @dataclass(frozen=True)
@@ -539,16 +539,18 @@ class VerifyReport:
     rows: tuple
 
 
-def verify_numeric(basis, ctx):
+def verify_numeric(basis, ctx, tables=None):
     """Evaluate every relation row against the normalized series values.
 
     Each row must vanish within the context tolerance plus the combined,
-    weight-normalized tail bounds of the indices it touches.
+    weight-normalized tail bounds of the indices it touches. The indices
+    share one suffix memo, tables if given (see evaluate.z_q).
     """
+    tables = _suffix_tables(ctx, tables)
     values = {}
     tails = {}
     for ix in basis.index_basis:
-        res = zbar_q(Element.from_word(ix), ctx)
+        res = zbar_q(Element.from_word(ix), ctx, tables)
         values[ix] = res.value
         tails[ix] = res.tail_bound
     checks = []

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
+from qmzv import cli
 from qmzv.relations import relation_basis, relation_basis_from_doc, relation_basis_to_doc
+
+
+def _main(*args):
+    """stdout of qmzv.cli.main run in-process; the command must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(args)) == 0, args
+    return out.getvalue()
 
 
 def _run(*args, expect=0):
@@ -42,17 +54,42 @@ def test_unwritable_out_exits_2(tmp_path):
     assert not target.exists()
 
 
-def test_small_commands_do_not_import_numpy():
+def test_small_commands_do_not_import_numpy(tmp_path):
+    doc = str(tmp_path / "w3.json")
     script = (
         "import sys\n"
         "import qmzv\n"
         "from qmzv import cli\n"
-        "for argv in (['product', 'harmonic', 'z2', 'z3 z1'], ['eval', 'z2 z1'], ['dims', '--max-weight', '3']):\n"
+        "doc = sys.argv[1]\n"
+        "for argv in (['product', 'harmonic', 'z2', 'z3 z1'], ['eval', 'z2 z1'], ['polylog', 'z2 z1', '--t', '3/10'],\n"
+        "             ['dims', '--max-weight', '3'], ['verify', '--weight', '3'], ['relations', '--weight', '3', '--json', '--out', doc],\n"
+        "             ['verify', doc]):\n"
         "    assert cli.main(argv) == 0, argv\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script, doc], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "w3.json").read_text())["weight"] == 3
+
+
+# sha256 of the stdout of each command, recorded before the shared suffix
+# tables of evaluate.py: sharing them must not move a single bit of output
+NUMERIC_OUTPUT_DIGESTS = {
+    ("verify", "--weight", "4", "--json"): "36622648479af7c1e5b90bbaccc393f92f8c7ffca4c8446a4614c8e0f407d4a6",
+    ("verify", "W5", "--q", "2/3", "--json"): "7a23beb20ff108b78cd105dee1decc3d11241f04d3502046b1e9746c49b0010f",
+    ("eval", "z2 z1", "--json"): "36497aa65eecbb15d7c9fb3289ea7822bae332e878e4c27b31de03acf5da1c9f",
+    ("eval", "xi z2 + 3*h*z3 - z2 xi", "--q", "1/3", "--N", "200", "--json"): "88d43ba6aee62ea37537269d554783da85048c7e8f233056e0bc5c8ade5281b2",
+    ("polylog", "z2 z1", "--t", "3/10", "--json"): "5e258da9259f3aa447deb3a0e6897abb515c75f9bed276ff75b3f78bfd9f6d9a",
+    ("polylog", "xi z2 - h*z3 z1", "--t", "7/10", "--q", "2/3", "--json"): "c9cd05f3852cd397830e7a000f956202a306cb7dc690a9d071d36a83fbddc2dc",
+}
+
+
+def test_numeric_outputs_match_the_recorded_digests(tmp_path):
+    w5 = str(tmp_path / "w5.json")
+    assert _main("relations", "--weight", "5", "--json", "--out", w5)
+    for argv, digest in NUMERIC_OUTPUT_DIGESTS.items():
+        text = _main(*(w5 if a == "W5" else a for a in argv))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
 
 
 def test_eval_tail_bound_above_tol_exits_1_and_still_prints():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,11 +10,14 @@ from fractions import Fraction
 import pytest
 
 from qmzv.errors import DomainError
-from qmzv.words import XI, Element
+from qmzv.hpoly import HPoly
+from qmzv.words import RHO, XI, Element, a_words_of_degree, word_degree
 from qmzv.expr import parse_element
 from qmzv.products import e_map, harmonic
 from qmzv.evaluate import (
+    EvalResult,
     QContext,
+    _suffix_tables,
     binom_tail,
     dq_check,
     f_word,
@@ -23,6 +27,9 @@ from qmzv.evaluate import (
     z_q,
     zbar_q,
 )
+from qmzv.relations import relation_basis, verify_numeric
+
+from random_elements import property_examples, rational_element
 
 E = Element.from_word
 
@@ -60,6 +67,18 @@ def test_i_letter_values():
     assert i_letter(-1, 5, ctx) == Fraction(1, 2)
     # [2] = 3/2 at q = 1/2, so I_z2(2) = q^2/[2]^2 = 1/9
     assert i_letter(2, 2, ctx) == Fraction(1, 9)
+
+
+def test_table_increments_are_the_letter_values():
+    ctx = QContext(q=Fraction(1, 2), N=6, mode="exact")
+    for u in (RHO, XI, 1, 2, 3):
+        table = f_word_table((u,), 6, ctx)
+        assert [table[n + 1] - table[n] for n in range(1, 6)] == [i_letter(u, n, ctx) for n in range(1, 6)], u
+    with pytest.raises(ValueError):
+        i_letter(-2, 1, ctx)
+    for word in ((-2,), (2, -2)):
+        with pytest.raises(ValueError):
+            f_word_table(word, 6, ctx)
 
 
 def test_f_word_exact_small():
@@ -211,3 +230,93 @@ def test_complex_q_evaluation_runs():
     res = z_q(E((2,)), ctx)
     assert isinstance(res.value, complex)
     assert not res.certified
+
+
+# one context per arithmetic: float, complex q, exact
+MEMO_CONTEXTS = (
+    QContext(q=Fraction(1, 2), N=120),
+    QContext(q=0.3 + 0.2j, N=80),
+    QContext(q=Fraction(2, 3), N=25, mode="exact"),
+)
+
+
+def _fresh_z(e, ctx):
+    """Z_q(e) word by word, each word's table built afresh by f_word."""
+    value = f_word((), ctx.N, ctx) * 0
+    tail = 0.0
+    for word, coeff in e.terms.items():
+        c = coeff.evaluate(1 - ctx.q_value)
+        value = value + c * f_word(word, ctx.N, ctx) if word else value + c
+        tail += float(abs(c)) * binom_tail(abs(ctx.q_value), ctx.N, len(word)) if word else 0.0
+    return EvalResult(value, tail, ctx.certified)
+
+
+def _fresh_l(e, t, ctx):
+    """L_e(t) word by word, each word's single-word value computed alone."""
+    value = f_word((), ctx.N, ctx) * 0
+    tail = 0.0
+    for word, coeff in e.terms.items():
+        res = l_value(Element.from_word(word), t, ctx)
+        c = coeff.evaluate(1 - ctx.q_value)
+        value = value + c * res.value if word else value + c
+        tail += float(abs(c)) * res.tail_bound
+    return value, tail
+
+
+def _homogeneous(rng, weight):
+    """Three admissible words of degree <= weight, each times a rational and the h power that completes the weight."""
+    words = [w for m in range(2, weight + 1) for w in a_words_of_degree(m, admissible_only=True)]
+    return Element([(w, HPoly([0] * (weight - word_degree(w)) + [Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 7)))])) for w in rng.sample(words, 3)])
+
+
+@property_examples(8)
+def test_a_shared_suffix_memo_gives_the_fresh_per_word_values(rng):
+    for ctx in MEMO_CONTEXTS:
+        tables = _suffix_tables(ctx)
+        t = Fraction(rng.randint(1, 9), 10)
+        for _ in range(3):
+            e = rational_element(rng, max_degree=4, terms=3, admissible=True)
+            assert z_q(e, ctx, tables) == z_q(e, ctx) == _fresh_z(e, ctx)
+            shared = l_value(e, t, ctx, tables)
+            assert (shared.value, shared.tail_bound) == _fresh_l(e, t, ctx)
+            g = _homogeneous(rng, 4)
+            scale = (1 - ctx.q_value) ** -4
+            fresh = _fresh_z(g, ctx)
+            assert zbar_q(g, ctx, tables) == EvalResult(fresh.value * scale, fresh.tail_bound * float(abs(scale)), ctx.certified)
+
+
+def test_a_suffix_memo_refuses_another_q_n_or_mode():
+    ctx = QContext(q=Fraction(1, 2), N=50)
+    tables = _suffix_tables(ctx)
+    e = E((2, 1))
+    basis = relation_basis(3)
+    for other in (
+        QContext(q=Fraction(1, 3), N=50),
+        QContext(q=Fraction(1, 2), N=60),
+        QContext(q=Fraction(1, 2), N=50, mode="exact"),
+        QContext(q=0.5 + 0j, N=50),
+    ):
+        for call in (
+            lambda: z_q(e, other, tables),
+            lambda: zbar_q(e, other, tables),
+            lambda: l_value(e, Fraction(3, 10), other, tables),
+            lambda: verify_numeric(basis, other, tables),
+        ):
+            with pytest.raises(ValueError):
+                call()
+    # the tolerance is not part of the series, so a memo serves any tol
+    assert z_q(e, QContext(q=0.5, N=50, tol=1e-3), tables) == z_q(e, ctx)
+
+
+# sha256 of str(z_q(...).value) in exact mode, recorded before the shared
+# suffix tables: the Fractions must come out digit for digit the same
+EXACT_VALUE_DIGESTS = {
+    ("z2 z1", Fraction(1, 2), 40): "0ec21ad4f7d72234f902ee0deb42e6dbd76c34b311d322efca863003d3d02b3d",
+    ("xi z2 + h*z3 z1 - 3*z2", Fraction(2, 3), 30): "2d17529a0e06c37639b628083584a40b6eccdad15f029252e90aa8f0bde5fd05",
+}
+
+
+def test_exact_values_match_the_recorded_digests():
+    for (text, q, N), digest in EXACT_VALUE_DIGESTS.items():
+        value = z_q(parse_element(text), QContext(q=q, N=N, mode="exact")).value
+        assert hashlib.sha256(str(value).encode()).hexdigest() == digest, text
