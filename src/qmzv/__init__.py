@@ -9,7 +9,7 @@ from .errors import (
     ParseError,
     QmzvError,
 )
-from .hpoly import HPoly, format_hpoly, h_power, parse_hpoly
+from .hpoly import HPoly, h_power
 from .words import (
     RHO,
     SPACES,
@@ -31,7 +31,7 @@ from .words import (
     word_in_space,
     word_to_index,
 )
-from .expr import format_element, parse_element
+from .expr import format_element, format_hpoly, parse_element, parse_hpoly
 from .products import (
     ALPHA_TABLE,
     circle,

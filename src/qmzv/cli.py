@@ -13,8 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import QmzvError
-from .expr import format_element, parse_element
+from .errors import DomainError, QmzvError
+from .expr import _monomial_text, _signed_sum, format_element, parse_element
 from .words import Element, a_words_of_degree, index_from_text, index_to_text, word_degree
 from .products import harmonic, shuffle, star
 from .evaluate import QContext, _suffix_tables, l_value, z_q
@@ -139,18 +139,7 @@ def _format_index(ix):
 
 
 def _format_row(row, index_basis):
-    parts = []
-    for c, ix in zip(row, index_basis):
-        if not c:
-            continue
-        sym = "zbar(%s)" % index_to_text(ix)
-        mag = abs(c)
-        piece = sym if mag == 1 else "%s*%s" % (mag, sym)
-        if not parts:
-            parts.append(piece if c > 0 else "-" + piece)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + piece)
-    return " ".join(parts) if parts else "0"
+    return _signed_sum((c < 0, _monomial_text(abs(c), 0, "zbar(%s)" % index_to_text(ix))) for c, ix in zip(row, index_basis) if c)
 
 
 def _progress(msg):
@@ -158,7 +147,10 @@ def _progress(msg):
 
 
 def cmd_product(args):
-    result = PRODUCTS[args.kind](parse_element(args.e1), parse_element(args.e2))
+    operands = [parse_element(args.e1), parse_element(args.e2)]
+    if any(isinstance(w, str) for e in operands for w in e.terms):
+        raise DomainError("product needs A-basis operands: the letters xi and z1, z2, ..., not x, y or r")
+    result = PRODUCTS[args.kind](*operands)
     text = format_element(result)
     return text, {"kind": args.kind, "result": text}, None, 0
 

@@ -10,8 +10,9 @@ Grammar (ASCII):
 
 'r' denotes the letter rho and 'h' the coefficient variable. A single
 expression must stay in one basis; rational-only expressions parse as
-A-basis constants. Printing is canonical: words in graded lexicographic
-order, each coefficient split into ascending powers of h.
+A-basis constants, and parse_hpoly/format_hpoly read and write a lone
+coefficient in the same grammar. Printing is canonical: words in graded
+lexicographic order, each coefficient split into ascending powers of h.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .hpoly import HPoly, format_hpoly_monomial
+from .hpoly import HPoly
 from .words import XI, Element, word_sort_key
 
 _TOKEN_RE = re.compile(
@@ -57,7 +58,10 @@ def _tokenize(text):
         elif m.group("h"):
             tokens.append(("h", int(m.group("hk") or 1), pos))
         elif m.group("rat"):
-            tokens.append(("rat", Fraction(m.group("rat")), pos))
+            try:
+                tokens.append(("rat", Fraction(m.group("rat")), pos))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", pos) from None
         else:
             tokens.append(("op", m.group("op"), pos))
         pos = m.end()
@@ -156,27 +160,46 @@ def format_word(word):
 
 def format_element(e):
     """Canonical text of an Element; round-trips through parse_element."""
-    if e.is_zero():
-        return "0"
     pieces = []
     for word, coeff in e.sorted_terms():
         wtext = format_word(word)
-        for power, c in enumerate(coeff.coeffs):
-            if not c:
-                continue
-            negative, ctext = format_hpoly_monomial(c, power)
-            if wtext:
-                if abs(c) == 1 and power == 0:
-                    body = wtext
-                else:
-                    body = "%s*%s" % (ctext, wtext)
-            else:
-                body = ctext
-            pieces.append((negative, body))
+        pieces.extend((c < 0, _monomial_text(abs(c), power, wtext)) for power, c in enumerate(coeff.coeffs) if c)
+    return _signed_sum(pieces)
+
+
+def _monomial_text(c, power, wtext):
+    """c * h^power * word for c > 0, leaving out unit factors ("1" if all are)."""
+    factors = [] if c == 1 else [str(c)]
+    if power:
+        factors.append("h" if power == 1 else "h^%d" % power)
+    if wtext:
+        factors.append(wtext)
+    return "*".join(factors) or "1"
+
+
+def _signed_sum(pieces):
+    """Join (negative, text) pieces as "a - b + c"; "0" when there are none."""
     parts = []
-    for k, (negative, body) in enumerate(pieces):
-        if k == 0:
-            parts.append("-" + body if negative else body)
+    for negative, text in pieces:
+        if parts:
+            parts.append(("- " if negative else "+ ") + text)
         else:
-            parts.append(("- " if negative else "+ ") + body)
-    return " ".join(parts)
+            parts.append("-" + text if negative else text)
+    return " ".join(parts) or "0"
+
+
+def parse_hpoly(text):
+    """Parse coefficient text like "1 - 2*h + 3/4*h^2" into an HPoly.
+
+    The grammar is parse_element's without letters: terms in any order, each
+    a '*'-joined product of rationals and powers of h.
+    """
+    for kind, _, pos in _tokenize(text):
+        if kind in ("letter", "xletter"):
+            raise ParseError("letter in a coefficient", pos)
+    return parse_element(text).coeff(())
+
+
+def format_hpoly(p):
+    """Canonical text, ascending in h-degree: "1 - 2*h + 3/4*h^2"."""
+    return format_element(Element({(): p}))

@@ -2,15 +2,14 @@
 
 Coefficients of every word in the algebra live here. The variable h is the
 deformation parameter; numerical evaluation substitutes h = 1 - q. All
-arithmetic is exact, backed by fractions.Fraction.
+arithmetic is exact, backed by fractions.Fraction. The text form of a
+coefficient (parse_hpoly, format_hpoly) is the constant case of expr's
+grammar and lives there.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-
-from .errors import ParseError
 
 
 class HPoly:
@@ -138,9 +137,13 @@ class HPoly:
         return acc
 
     def __repr__(self):
+        from .expr import format_hpoly
+
         return "HPoly(%r)" % (format_hpoly(self),)
 
     def __str__(self):
+        from .expr import format_hpoly
+
         return format_hpoly(self)
 
 
@@ -152,107 +155,3 @@ H = HPoly((0, 1))
 def h_power(k):
     """The monomial h^k."""
     return HPoly((0,) * k + (1,))
-
-
-def format_rational(x):
-    """"p/q" when the denominator is not 1, else "p"."""
-    x = Fraction(x)
-    return str(x)
-
-
-_TERM_RE = re.compile(
-    r"""(?P<rat>-?\d+(?:/\d+)?)   # rational factor
-      | (?P<h>h(?:\^(?P<k>\d+))?) # power of h
-      | (?P<star>\*)              # factor separator
-      | (?P<bad>\S)               # anything else is an error
-    """,
-    re.VERBOSE,
-)
-
-
-def _parse_hpoly_term(term, offset):
-    coeff = Fraction(1)
-    power = 0
-    saw_factor = False
-    for m in _TERM_RE.finditer(term):
-        if m.group("rat"):
-            coeff *= Fraction(m.group("rat"))
-            saw_factor = True
-        elif m.group("h"):
-            power += int(m.group("k") or 1)
-            saw_factor = True
-        elif m.group("bad"):
-            raise ParseError("unexpected %r" % m.group("bad"), offset + m.start())
-    if not saw_factor:
-        raise ParseError("empty term", offset)
-    return coeff, power
-
-
-def parse_hpoly(text):
-    """Parse text like "1 - 2*h + 3/4*h^2" into an HPoly.
-
-    Terms may appear in any order; each term is a product of an optional
-    rational and optional powers of h, joined by '*'.
-    """
-    coeffs = {}
-    pos = 0
-    sign = 1
-    started = False
-    n = len(text)
-    while True:
-        # consume a sign and the following term
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            if not started:
-                raise ParseError("empty polynomial", pos)
-            break
-        if started:
-            if text[pos] == "+":
-                sign = 1
-            elif text[pos] == "-":
-                sign = -1
-            else:
-                raise ParseError("expected '+' or '-'", pos)
-            pos += 1
-        elif text[pos] in "+-":
-            sign = 1 if text[pos] == "+" else -1
-            pos += 1
-        end = pos
-        while end < n and text[end] not in "+-":
-            end += 1
-        coeff, power = _parse_hpoly_term(text[pos:end], pos)
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
-        started = True
-        sign = 1
-        pos = end
-    top = max(coeffs) if coeffs else 0
-    return HPoly([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
-
-
-def format_hpoly_monomial(coeff, power):
-    """Render coeff * h^power without a leading sign; returns (negative, text)."""
-    negative = coeff < 0
-    c = -coeff if negative else coeff
-    if power == 0:
-        return negative, format_rational(c)
-    hpart = "h" if power == 1 else "h^%d" % power
-    if c == 1:
-        return negative, hpart
-    return negative, "%s*%s" % (format_rational(c), hpart)
-
-
-def format_hpoly(p):
-    """Canonical text, ascending in h-degree: "1 - 2*h + 3/4*h^2"."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for power, coeff in enumerate(p.coeffs):
-        if not coeff:
-            continue
-        negative, text = format_hpoly_monomial(coeff, power)
-        if not parts:
-            parts.append("-" + text if negative else text)
-        else:
-            parts.append("- " + text if negative else "+ " + text)
-    return " ".join(parts)

@@ -201,6 +201,8 @@ def is_admissible_start(word):
 
 
 def word_in_space(word, space):
+    if isinstance(word, str) and word and space in SPACES:
+        return False  # the spaces are spanned by A-words; an x/y/r word lies in none
     if space == "H0hat":
         return is_admissible_start(word)
     if space == "H0":

@@ -9,6 +9,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qmzv import cli
 from qmzv.relations import relation_basis, relation_basis_from_doc, relation_basis_to_doc
 
@@ -52,6 +54,25 @@ def test_unwritable_out_exits_2(tmp_path):
     proc = _run("product", "harmonic", "z2", "z3", "--out", str(target), expect=2)
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "x"),
+        ("polylog", "x y", "--t", "1/2"),
+        ("product", "harmonic", "x", "y"),
+        ("product", "shuffle", "x", "y"),
+        ("product", "star", "x", "y"),
+        ("product", "harmonic", "z2", "x"),
+        ("product", "harmonic", "1/0*z2", "z2"),
+    ],
+    ids=" ".join,
+)
+def test_input_outside_the_domain_exits_2_with_a_message(argv):
+    proc = subprocess.run([sys.executable, "-m", "qmzv", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, (argv, proc.returncode, proc.stderr)
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_small_commands_do_not_import_numpy(tmp_path):

@@ -8,7 +8,11 @@ from fractions import Fraction
 import pytest
 
 from qmzv.errors import ParseError
-from qmzv.hpoly import H, HPoly, ONE, ZERO, format_hpoly, h_power, parse_hpoly
+from qmzv.expr import format_element, format_hpoly, parse_hpoly
+from qmzv.hpoly import H, HPoly, ONE, ZERO, h_power
+from qmzv.words import Element
+
+from random_elements import property_examples, rational_coeff
 
 
 def _random_poly(rng, max_degree=4):
@@ -90,6 +94,25 @@ def test_parse_format_round_trip():
     for _ in range(60):
         p = _random_poly(rng)
         assert parse_hpoly(format_hpoly(p)) == p
+
+
+@property_examples(40)
+def test_text_form_round_trips_and_is_the_constant_element_text(rng):
+    p = rational_coeff(rng)
+    assert parse_hpoly(format_hpoly(p)) == p
+    assert format_hpoly(p) == format_element(Element({(): p}))
+
+
+@pytest.mark.parametrize("text", ["x", "z2", "2*", "*h", "1/0"])
+def test_parse_rejects_letters_stray_stars_and_zero_denominators(text):
+    with pytest.raises(ParseError):
+        parse_hpoly(text)
+
+
+def test_a_letter_is_reported_at_its_position():
+    with pytest.raises(ParseError) as err:
+        parse_hpoly("1 + 2*h*xi")
+    assert err.value.position == 8
 
 
 def test_parse_errors_carry_positions():

@@ -110,6 +110,10 @@ def test_space_membership_table():
         ((XI, 1), True, False, True, False, False),
         ((1, 2), False, False, False, True, False),
         ((2, XI), True, False, True, True, True),
+        ("x", False, False, False, False, False),
+        ("y", False, False, False, False, False),
+        ("r", False, False, False, False, False),
+        ("xy", False, False, False, False, False),
     ]
     for word, h0hat, h0, h0tilde, hge1, hge2 in rows:
         assert word_in_space(word, "H0hat") is h0hat, word
