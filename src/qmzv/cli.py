@@ -220,9 +220,10 @@ def _spot_check_products(weight, ctx, tables):
                 pairs.append((w1, w2))
     out = {"harmonic": [], "shuffle": []}
     cache = {}
+    singles = {w: z_q(Element.from_word(w), ctx, tables) for w in words}
     for w1, w2 in pairs:
         e1, e2 = Element.from_word(w1), Element.from_word(w2)
-        r1, r2 = z_q(e1, ctx, tables), z_q(e2, ctx, tables)
+        r1, r2 = singles[w1], singles[w2]
         for name, prod in (("harmonic", harmonic), ("shuffle", shuffle)):
             rp = z_q(prod(e1, e2, cache.setdefault(name, {})), ctx, tables)
             dev = abs(rp.value - r1.value * r2.value)

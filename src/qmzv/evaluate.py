@@ -4,13 +4,17 @@ q-polylogarithms L_w(t), with certified truncation tails.
 All series are truncated at the context bound N and reported together with
 a rigorous tail bound (for real q in (0,1); other parameters fall back to
 the same formula flagged as heuristic). The coefficient variable h is
-evaluated at 1 - q before summation. Exact mode keeps every partial sum a
-Fraction.
+evaluated at 1 - q before summation.
 
-F-tables come from a suffix memo (``_Tables``) for one q, N and mode: a
-word's table extends its longest stored suffix, so the words of an element,
-of the three series of a q-difference check, or of a whole ``verify`` build
-each suffix once, with the same values as a fresh table.
+F-tables come from a suffix memo for one q, N and mode: a word's table
+extends its longest stored suffix, so the words of an element, of the three
+series of a q-difference check, or of a whole ``verify`` build each suffix
+once, with the same values as a fresh table. In float and complex mode
+(``_Tables``) the partial sums are float or complex numbers. In exact mode
+(``_ExactTables``) q = a/b and every table is kept as integers over one
+denominator known in advance, a power of b times a product of the
+c_n = b^n - a^n; a value is reduced to a Fraction only when it is read, so
+it is the same Fraction as from Fraction arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ class QContext:
     """Evaluation parameters: q, truncation bound N, tolerance, arithmetic mode.
 
     q may be a Fraction, float, or complex with 0 < |q| < 1. Mode "exact"
-    requires rational q and performs all partial sums over Fractions.
+    requires rational q = a/b: the F-tables are integers over one common
+    denominator, reduced to Fractions when a value is read (see _ExactTables).
     """
 
     q: object = Fraction(1, 2)
@@ -129,8 +134,12 @@ def i_letter(u, n, ctx):
     return _letter(u, qn, (1 - qn) / (1 - q), q)
 
 
+def _memo_key(ctx, N):
+    return ctx.mode, type(ctx.q_value), ctx.q_value, N
+
+
 class _Tables:
-    """F-tables of word suffixes for one (q, N, mode), each suffix built once.
+    """F-tables of word suffixes for one (q, N) in float or complex mode, each suffix built once.
 
     A word's table extends its longest stored suffix one letter at a time by
     F_{uw}(n) = F_{uw}(n-1) + I_u(n-1) F_w(n-1), with the operations of a
@@ -140,8 +149,8 @@ class _Tables:
 
     def __init__(self, N, ctx):
         q = self.q = ctx.q_value
-        self.N, self.key = N, (ctx.mode, type(q), q, N)
-        one = self.one = Fraction(1) if ctx.mode == "exact" else (1.0 + 0j if isinstance(q, complex) else 1.0)
+        self.N, self.key = N, _memo_key(ctx, N)
+        one = self.one = 1.0 + 0j if isinstance(q, complex) else 1.0
         zero = self.zero = one * 0
         self.qpow = _q_powers(q, N, one)
         self.qints = [zero] + [(1 - self.qpow[n]) / (1 - q) for n in range(1, N + 1)]
@@ -164,6 +173,10 @@ class _Tables:
             self.tables[word[j:]] = vals = cur
         return vals
 
+    def value(self, word):
+        """F_word(N)."""
+        return self.table(word)[self.N]
+
     def tail(self, x, r):
         """binom_tail(x, N, r), computed once per (x, r)."""
         if (x, r) not in self.tails:
@@ -171,11 +184,94 @@ class _Tables:
         return self.tails[x, r]
 
 
+class _ExactTables(_Tables):
+    """Exact F-tables at q = a/b: integers over one denominator per suffix, no gcd until a read.
+
+    With c_n = b^n - a^n each letter is I_u(n) = M_u(n) / (b^beta_u c_n^kappa_u)
+    for an integer M_u(n) (see _integer_letter). A suffix w is stored as
+    integers P_w(n) = F_w(n) b^beta prod_{0<m<n} c_m^K, with beta the sum of
+    the beta of its letters and K at least their largest kappa, and the
+    recursion of _Tables becomes
+    P_uw(n) = P_uw(n-1) c_{n-1}^K + M_u(n-1) c_{n-1}^(K-kappa_u) P_w(n-1).
+    The new suffixes of a word all take the largest exponent among its new
+    letters and its stored suffix, whose table is first multiplied by
+    prod_{0<m<n} c_m^(K-K_w) if that raises K. A read reduces one Fraction;
+    Fractions are canonical, so it equals the value of the same recursion in
+    Fraction arithmetic.
+    """
+
+    def __init__(self, N, ctx):
+        self.N, self.key = N, _memo_key(ctx, N)
+        self.one, self.zero = Fraction(1), Fraction(0)
+        self.a, self.b = ctx.q_value.numerator, ctx.q_value.denominator
+        self.c = [self.b**n - self.a**n for n in range(N + 1)]
+        self.powers, self.tables, self.tails = {}, {(): ([1] * (N + 1), 0, 0)}, {}
+
+    def _powers(self, k):
+        """(c_n^k, prod_{0<m<n} c_m^k) for n = 0..N, built once per k."""
+        if k not in self.powers:
+            cpow, prods, acc = [c**k for c in self.c], [1] * (self.N + 1), 1
+            for n in range(2, self.N + 1):
+                acc *= cpow[n - 1]
+                prods[n] = acc
+            self.powers[k] = cpow, prods
+        return self.powers[k]
+
+    def _integer_letter(self, u):
+        """(M_u(n) for n = 0..N-1, kappa_u, beta_u); index 0 unused."""
+        a, b, N = self.a, self.b, self.N
+        if u == RHO:  # 1 - q = (b-a)/b
+            return [b - a] * N, 0, 1
+        if u == XI:  # q^n/[n] = a^n (b-a) / (b c_n)
+            return [a**n * (b - a) for n in range(N)], 1, 1
+        if u >= 1:  # q^((k-1)n)/[n]^k = a^((k-1)n) (b-a)^k b^n / (b^k c_n^k)
+            return [a ** ((u - 1) * n) * (b - a) ** u * b**n for n in range(N)], u, u
+        raise ValueError("bad letter code %r" % (u,))
+
+    def _entry(self, word):
+        """(P_word, K, beta) of word, extending its longest stored suffix."""
+        i = 0
+        while word[i:] not in self.tables:
+            i += 1
+        vals, K, beta = self.tables[word[i:]]
+        letters = [self._integer_letter(u) for u in word[:i]]
+        top = max([K] + [kappa for _, kappa, _ in letters])
+        if top > K:
+            vals = self._powers(top)[1] if i == len(word) else [p * d for p, d in zip(vals, self._powers(top - K)[1])]
+            K = top
+        cK = self._powers(K)[0]
+        for j in range(i - 1, -1, -1):
+            num, kappa, beta_u = letters[j]
+            step = [m * c for m, c in zip(num, self._powers(K - kappa)[0])]
+            cur, acc = [0] * (self.N + 1), 0
+            for n in range(2, self.N + 1):
+                acc = acc * cK[n - 1] + step[n - 1] * vals[n - 1]
+                cur[n] = acc
+            vals, beta = cur, beta + beta_u
+            self.tables[word[j:]] = vals, K, beta
+        return vals, K, beta
+
+    def table(self, word):
+        """F_word(n) for n = 0..N, each Fraction reduced on this read."""
+        vals, K, beta = self._entry(word)
+        scale = self.b**beta
+        return [Fraction(p, scale * d) for p, d in zip(vals, self._powers(K)[1])]
+
+    def value(self, word):
+        """F_word(N), reduced on this read."""
+        vals, K, beta = self._entry(word)
+        return Fraction(vals[self.N], self.b**beta * self._powers(K)[1][self.N])
+
+
+def _new_tables(N, ctx):
+    return (_ExactTables if ctx.mode == "exact" else _Tables)(N, ctx)
+
+
 def _suffix_tables(ctx, tables=None):
     """tables, checked against ctx's q, N and mode; a fresh memo when None."""
-    if tables is not None and tables.key != (ctx.mode, type(ctx.q_value), ctx.q_value, ctx.N):
+    if tables is not None and tables.key != _memo_key(ctx, ctx.N):
         raise ValueError("suffix tables were built for another q, N or mode")
-    return _Tables(ctx.N, ctx) if tables is None else tables
+    return _new_tables(ctx.N, ctx) if tables is None else tables
 
 
 def f_word_table(word, N, ctx):
@@ -183,7 +279,7 @@ def f_word_table(word, N, ctx):
 
     F_1(n) = 1 and F_{uw}(n) = F_{uw}(n-1) + I_u(n-1) F_w(n-1); cost O(len(word)*N).
     """
-    return _Tables(N, ctx).table(tuple(word))
+    return _new_tables(N, ctx).table(tuple(word))
 
 
 def f_word(w, N, ctx):
@@ -212,7 +308,7 @@ def z_q(e, ctx, tables=None):
         if not word:
             value = value + c
             continue
-        value = value + c * tables.table(word)[ctx.N]
+        value = value + c * tables.value(word)
         tail += float(abs(c)) * tables.tail(x, len(word))
     return EvalResult(value, tail, ctx.certified)
 
@@ -245,10 +341,13 @@ def l_value(e, t, ctx, tables=None):
         t = Fraction(t)
     elif not isinstance(t, complex):
         t = float(t)
-    N, one, qints = ctx.N, tables.one, tables.qints
-    if isinstance(t, complex) and not isinstance(one, complex):  # real q: [n] in complex arithmetic
-        one = one + 0j
+    N, one = ctx.N, tables.one
+    widen = isinstance(t, complex) and not isinstance(one, complex)  # real q: [n] in complex arithmetic
+    if widen or ctx.mode == "exact":  # exact tables keep no [n]: Fractions for this call
+        one = one + 0j if widen else one
         qints = [one * 0] + [(1 - qn) / (1 - q) for qn in _q_powers(q, N, one)[1:]]
+    else:
+        qints = tables.qints
     zero = value = one * 0
     tail = 0.0
     tpow = _q_powers(t, N, one)

@@ -8,11 +8,14 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from qmzv import cli
+from qmzv.evaluate import QContext, _suffix_tables
 from qmzv.relations import relation_basis, relation_basis_from_doc, relation_basis_to_doc
+from qmzv.words import a_words_of_degree
 
 
 def _main(*args):
@@ -111,6 +114,23 @@ def test_numeric_outputs_match_the_recorded_digests(tmp_path):
     for argv, digest in NUMERIC_OUTPUT_DIGESTS.items():
         text = _main(*(w5 if a == "W5" else a for a in argv))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+
+
+def test_spot_checks_evaluate_each_single_word_once(monkeypatch):
+    real, calls = cli.z_q, []
+
+    def counting(e, ctx, tables=None):
+        calls.append(e)
+        return real(e, ctx, tables)
+
+    monkeypatch.setattr(cli, "z_q", counting)
+    ctx = QContext(q=Fraction(1, 2), N=60)
+    spots = cli._spot_check_products(5, ctx, _suffix_tables(ctx))
+    pairs = len(spots["harmonic"])
+    words = [w for m in range(1, 5) for w in a_words_of_degree(m, admissible_only=True)]
+    assert pairs == len(spots["shuffle"]) > len(words)
+    # every word of degree 1..4 pairs with xi, so each is one single word of the checks
+    assert len(calls) == len(words) + 2 * pairs
 
 
 def test_eval_tail_bound_above_tol_exits_1_and_still_prints():

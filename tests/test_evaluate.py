@@ -12,8 +12,10 @@ import pytest
 from qmzv.errors import DomainError
 from qmzv.hpoly import HPoly
 from qmzv.words import RHO, XI, Element, a_words_of_degree, word_degree
+from qmzv.words import decompose_h0hat
 from qmzv.expr import parse_element
 from qmzv.products import e_map, harmonic
+from qmzv.products import delta0, delta1
 from qmzv.evaluate import (
     EvalResult,
     QContext,
@@ -320,3 +322,98 @@ def test_exact_values_match_the_recorded_digests():
     for (text, q, N), digest in EXACT_VALUE_DIGESTS.items():
         value = z_q(parse_element(text), QContext(q=q, N=N, mode="exact")).value
         assert hashlib.sha256(str(value).encode()).hexdigest() == digest, text
+
+
+def _fraction_digest(value):
+    """sha256 over the signed big-endian bytes of numerator and denominator.
+
+    str() of a value past 4,300 digits raises under Python's default limit.
+    """
+    parts = (value.numerator, value.denominator)
+    return hashlib.sha256(b"/".join(n.to_bytes(n.bit_length() // 8 + 1, "big", signed=True) for n in parts)).hexdigest()
+
+
+# _fraction_digest of an exact z_q value of more than 4,300 digits, recorded
+# before the exact tables became integers over one common denominator
+LARGE_EXACT_VALUE_DIGESTS = {
+    ("1*h^2*xi - 4*z2 xi", Fraction(2, 5), 100): "b011c4960fa7addf4746057cdf11092f932c02635fc951da68265dec7a1e82a0",
+}
+
+
+def test_a_large_exact_value_matches_its_recorded_digest():
+    for (text, q, N), digest in LARGE_EXACT_VALUE_DIGESTS.items():
+        value = z_q(parse_element(text), QContext(q=q, N=N, mode="exact")).value
+        assert value.denominator.bit_length() > 4300 * math.log2(10)
+        assert _fraction_digest(value) == digest, text
+
+
+def _plain_qint(q, n):
+    return (1 - q**n) / (1 - q)
+
+
+def _plain_table(word, q, N):
+    """F_word(n) for n = 0..N by the first-order recursion in plain Fraction arithmetic."""
+
+    def letter(u, n):
+        return 1 - q if u == RHO else q**n / _plain_qint(q, n) if u == XI else q ** ((u - 1) * n) / _plain_qint(q, n) ** u
+
+    vals = [Fraction(1)] * (N + 1)
+    for u in reversed(word):
+        cur = [Fraction(0)] * (N + 1)
+        for n in range(2, N + 1):
+            cur[n] = cur[n - 1] + letter(u, n - 1) * vals[n - 1]
+        vals = cur
+    return vals
+
+
+def _plain_l(e, t, q, N):
+    """L_e(t) from _plain_table: t^n/[n] (xi) or t^n/[n]^k (z_k) times F_w(n), over 0 < n < N."""
+    value = Fraction(0)
+    for word, coeff in e.terms.items():
+        c = coeff.evaluate(1 - q)
+        if not word:
+            value += c
+            continue
+        table = _plain_table(word[1:], q, N)
+        for n in range(1, N):
+            value += c * t**n / _plain_qint(q, n) ** (1 if word[0] == XI else word[0]) * table[n]
+    return value
+
+
+# one memo extended by letters of rising exponent, then by rho and z1
+RISING_WORDS = ((2,), (3, 2), (XI, 3, 2), (4, XI, 3, 2), (RHO, 4, XI, 3, 2), (1, RHO, 4, XI, 3, 2))
+KERNEL_QS = (Fraction(1, 2), Fraction(2, 5), Fraction(1, 3), Fraction(3, 7), Fraction(-1, 2), Fraction(-2, 3))
+
+
+@property_examples(6)
+def test_exact_tables_equal_plain_fraction_tables_at_every_n(rng):
+    contexts = [(q, rng.randint(2, 60)) for q in KERNEL_QS] + [(rng.choice(KERNEL_QS), 2), (rng.choice(KERNEL_QS), 60)]
+    for q, N in contexts:
+        ctx = QContext(q=q, N=N, mode="exact")
+        tables = _suffix_tables(ctx)
+        shuffled = [tuple(rng.choice((RHO, XI, 1, 2, 3, 4)) for _ in range(rng.randint(1, 3))) for _ in range(3)]
+        for word in RISING_WORDS + tuple(shuffled):
+            plain = _plain_table(word, q, N)
+            assert tables.table(word) == plain == f_word_table(word, N, ctx), (q, N, word)
+            if word[0] not in (RHO, 1):
+                assert z_q(E(word), ctx, tables).value == plain[N] == z_q(E(word), ctx).value, (q, N, word)
+        with pytest.raises(ValueError):
+            tables.table((-2, 3, 2))
+        t = Fraction(rng.randint(1, 9), 10)
+        e = E((4, XI, 3, 2)) - parse_element("3/2*h*z3 z2 + xi z2")
+        assert l_value(e, t, ctx, tables) == l_value(e, t, ctx)
+        assert l_value(e, t, ctx, tables).value == _plain_l(e, t, q, N), (q, N)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+def test_exact_dq_check_equals_fresh_and_plain_series(q):
+    ctx, t, N = QContext(q=q, N=30, mode="exact"), Fraction(3, 10), 30
+    for e in (E((3, 2)), E((XI, 3, 2)) + E((XI, 2))):
+        rep = dq_check(e, t, ctx)
+        lhs = (_plain_l(e, t, q, N) - _plain_l(e, q * t, q, N)) / ((1 - q) * t)
+        if rep.form == "graded2":
+            rhs = l_value(delta0(e), t, ctx).value / t
+        else:
+            ((r, inner),) = decompose_h0hat(e)[1].items()
+            rhs = ((1 - q) * t) ** r / (1 - t) ** (r + 1) * l_value(delta1(inner), t, ctx).value
+        assert (rep.lhs, rep.rhs, rep.difference) == (lhs, rhs, lhs - rhs), (q, e)
