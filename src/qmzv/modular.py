@@ -1,12 +1,15 @@
 """Reduced row echelon form modulo primes, and its lift back to the integers.
 
-The multimodular half of relations._int_echelon. An integer matrix is
-reduced mod primes just below 2^23 by blocked Gauss-Jordan elimination in
-float64 with delayed reduction (Dumas, Giorgi and Pernet 2008,
-FFLAS-FFPACK), and the residues of several primes are combined by CRT and
-balanced rational reconstruction (Wang 1981; Monagan 2004). Nothing here is
-trusted: relations._int_echelon certifies the result exactly. This module
-imports numpy, so only the elimination of tall systems imports it.
+The multimodular half of relations._int_echelon. Its sparse integer rows
+{column: int} are filled into one integer matrix, which is reduced mod
+primes just below 2^23 by blocked Gauss-Jordan elimination in float64 with
+delayed reduction (Dumas, Giorgi and Pernet 2008, FFLAS-FFPACK): panels of
+_PANEL columns, each factored in sub-blocks of _BLOCK columns, so that
+rank-1 updates touch one sub-block and matrix products do the rest. The
+residues of several primes are combined by CRT and balanced rational
+reconstruction (Wang 1981; Monagan 2004). Nothing here is trusted:
+relations._int_echelon certifies the result exactly. This module imports
+numpy, so only the elimination of tall systems imports it.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ import numpy as np
 # p < 2^23 a product of two is below 2^44.01, and a value takes at most
 # _PANEL of them before it is reduced again, so it stays below 2^52, where
 # float64 is exact and _reduce applies; a pivot row is scaled by an inverse
-# below p, one product below 2^46.
+# below p, one product below 2^46. A sub-block of _BLOCK columns (or rows)
+# adds at most _BLOCK products at once.
 _PRIME_BITS = 23
 _PANEL = 128
+_BLOCK = 16
 
 
 def primes():
@@ -33,12 +38,17 @@ def primes():
         n -= 2
 
 
-def integer_matrix(int_rows):
-    """The rows as an int64 array, or as an object array if an entry needs more than 64 bits."""
+def integer_matrix(rows, ncols):
+    """Sparse integer rows {column: int} as an int64 array, or as an object array if an entry needs more than 64 bits."""
+    values = [x for row in rows for x in row.values()]
     try:
-        return np.array(int_rows, dtype=np.int64)
+        values = np.array(values, dtype=np.int64)
     except OverflowError:
-        return np.array(int_rows, dtype=object)
+        values = np.array(values, dtype=object)
+    a = np.zeros((len(rows), ncols), dtype=values.dtype)
+    at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    a[at, np.fromiter((j for row in rows for j in row), np.intp, len(at))] = values
+    return a
 
 
 def hadamard_limit(a):
@@ -69,18 +79,40 @@ def _reduce(x, p):
 def _panel_pivots(panel_t, p):
     """(row, column) of each pivot of a transposed residue panel, in column order.
 
-    Gauss-Jordan on the panel in place; a column is reduced only when it is
-    reached, so each entry takes at most one product per earlier column.
+    Gauss-Jordan on the panel in place, by sub-blocks of _BLOCK columns; a
+    column is reduced only when it is reached. Inside a sub-block each pivot
+    clears the later columns of that sub-block by a rank-1 update. The
+    sub-block's k pivots, the first nonzero rows t_1..t_k of its reduced
+    columns P_1..P_k, then clear the rest of the panel at once: each later
+    column c takes c - sum x_i P_i with x solving sum over i <= l of
+    x_i P_i[t_l] = c[t_l], a triangular system, as P_i[t_l] = 0 for l < i.
+    Each entry still takes at most one product per earlier pivot column.
     """
     found = []
-    for j in range(len(panel_t)):
-        col = _reduce(panel_t[j], p)
-        hits = np.flatnonzero(col)
-        if hits.size:
-            t = hits[0]
-            lead = _reduce(_reduce(panel_t[j + 1 :, t].copy(), p) * pow(int(col[t]), -1, p), p)
-            panel_t[j + 1 :] -= np.outer(lead, col)
-            found.append((t, j))
+    for b0 in range(0, len(panel_t), _BLOCK):
+        block, rest = panel_t[b0 : b0 + _BLOCK], panel_t[b0 + _BLOCK :]
+        new = []
+        for j in range(len(block)):
+            col = _reduce(block[j], p)
+            hits = np.flatnonzero(col)
+            if hits.size:
+                t = hits[0]
+                lead = _reduce(_reduce(block[j + 1 :, t].copy(), p) * pow(int(col[t]), -1, p), p)
+                block[j + 1 :] -= np.outer(lead, col)
+                new.append((t, j))
+        found.extend((t, b0 + j) for t, j in new)
+        if new and len(rest):
+            ts = [t for t, _ in new]
+            piv = block[[j for _, j in new]]
+            tri = piv[:, ts]
+            x = _reduce(rest[:, ts], p)
+            for i in range(len(new)):
+                if i:
+                    x[:, i] -= x[:, :i] @ tri[:i, i]
+                    _reduce(x[:, i], p)
+                x[:, i] *= pow(int(tri[i, i]), -1, p)
+                _reduce(x[:, i], p)
+            rest -= x @ piv
     return found
 
 
@@ -88,15 +120,23 @@ def _pivot_rows(b, cols, p):
     """Gauss-Jordan of residue rows b in place, the pivot of row s at column cols[s].
 
     The pivot entries must be units once the rows before them are eliminated.
+    Rows are taken in sub-blocks of _BLOCK: a sub-block is reduced among its
+    own rows, then one matrix product clears its pivot columns in every other row.
     """
-    for s, c in enumerate(cols):
-        row = _reduce(b[s], p)
-        row *= pow(int(row[c]), -1, p)
-        _reduce(row, p)
-        col = _reduce(b[:, c].copy(), p)
-        col[s] = 0
-        b -= np.outer(col, row)
-    return _reduce(b, p)
+    for s0 in range(0, len(cols), _BLOCK):
+        block, bcols = b[s0 : s0 + _BLOCK], cols[s0 : s0 + _BLOCK]
+        for s, c in enumerate(bcols):
+            row = _reduce(block[s], p)
+            row *= pow(int(row[c]), -1, p)
+            _reduce(row, p)
+            col = _reduce(block[:, c].copy(), p)
+            col[s] = 0
+            block -= np.outer(col, row)
+        _reduce(block, p)
+        others = np.r_[0:s0, s0 + len(bcols) : len(b)]
+        b[others] -= _reduce(b[np.ix_(others, bcols)], p) @ block
+        _reduce(b, p)
+    return b
 
 
 def rref_mod(a, p):

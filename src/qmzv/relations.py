@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import neg
 
 from .errors import DomainError, InternalError, NotAdmissible, NotHomogeneous
 from .hpoly import HPoly
@@ -39,9 +38,14 @@ class GradedBasis:
     h0_flags: tuple
 
     @cached_property
-    def columns(self):
-        """Map from each word to the position of its monomial, built once per basis."""
-        return {w: i for i, (_, w) in enumerate(self.monomials)}
+    def slots(self):
+        """Map from each word to (the position of its monomial, its h power), built once per basis."""
+        return _slots(self.monomials)
+
+
+def _slots(monomials):
+    """{word: (column, h power)} for (h power, word) monomials taken as columns in this order."""
+    return {w: (k, j) for k, (j, w) in enumerate(monomials)}
 
 
 def enumerate_basis(d):
@@ -162,13 +166,15 @@ def _dual_differences(d):
 
 
 def gen_hoffman(index):
-    """Hoffman's identity for an admissible index, as an element of the z-span.
+    """Hoffman's identity for a nonempty admissible index, as an element of the z-span.
 
     The raising side sum_i z_{k_1} ... z_{k_i + 1} ... z_{k_r} minus the
     splitting side sum over i with k_i >= 2 and 0 <= a <= k_i - 2 of
     z_{k_1} ... z_{k_i - a} z_{a+1} ... z_{k_r}; weight |k| + 1, no h part.
     """
     index = tuple(index)
+    if not index:
+        raise NotAdmissible("Hoffman's identity needs a nonempty index")
     if not is_admissible_index(index):
         raise NotAdmissible("index %s must start with a part >= 2" % (index_to_text(index) or "()",))
     terms = []
@@ -199,14 +205,17 @@ def _strip_content(row):
     return row
 
 
-def _insertion_echelon(int_rows):
-    """Fraction-free insertion echelon over the integers; returns {pivot column: row}.
+def _insertion_echelon(int_rows, ncols):
+    """Fraction-free insertion echelon of sparse integer rows; returns {pivot column: dense row}.
 
     Rows are inserted in input order. A row that depends on the rows before it
     reduces to zero and leaves the echelon unchanged.
     """
     pivots = {}
-    for row in int_rows:
+    for sparse in int_rows:
+        row = [0] * ncols
+        for j, x in sparse.items():
+            row[j] = x
         col = _first_nonzero(row, 0)
         while col is not None:
             piv = pivots.get(col)
@@ -257,7 +266,7 @@ def _reduced_tails(pivots, ncols):
 
 
 def _in_span(rows, non, den, tails):
-    """Whether every integer row lies in the row space given by _reduced_tails.
+    """Whether every sparse integer row {column: int} lies in the row space given by _reduced_tails.
 
     A row v is in that space exactly when it equals the combination of reduced
     rows its pivot entries select: den * v[non] == sum over c of v[c] * tails[c].
@@ -267,26 +276,27 @@ def _in_span(rows, non, den, tails):
     2^(width - 1), so the packed difference is zero only when every entry is.
     """
     top = max([den] + [abs(x) for tail in tails.values() for x in tail])
-    width = (max((sum(map(abs, row)) for row in rows), default=0) * top).bit_length() + 1
+    width = (max((sum(map(abs, row.values())) for row in rows), default=0) * top).bit_length() + 1
     packed = {c: sum(x << (width * k) for k, x in enumerate(tail) if x) for c, tail in tails.items()}
     slot = {j: width * k for k, j in enumerate(non)}
     for row in rows:
         acc = 0
-        for j, x in enumerate(row):
-            if x:
-                acc += (den * x << slot[j]) if j in slot else -x * packed[j]
+        for j, x in row.items():
+            acc += (den * x << slot[j]) if j in slot else -x * packed[j]
         if acc:
             return False
     return True
 
 
 def _int_echelon(int_rows, ncols):
-    """Integer echelon of the rows; returns {pivot column: row}.
+    """Integer echelon of sparse integer rows {column: int}; returns {pivot column: dense row}.
 
     With no more rows than columns this is _insertion_echelon, which keeps
     small systems free of numpy. With more rows it is the exact reduced
     echelon form, each row a primitive integer row with a positive pivot
-    entry, found multimodularly (see the modular module) from the rows less their repeats up to sign:
+    entry, found multimodularly (see the modular module) from the rows less
+    their repeats up to sign (a row and its negation share the key of their
+    sorted entries, signed so that the entry at the smallest column is positive):
 
     1. the RREF mod each prime of modular.primes() in turn. Mod p the rank
        is never higher, and no pivot column earlier, than over Q, and a
@@ -309,11 +319,15 @@ def _int_echelon(int_rows, ncols):
     InternalError.
     """
     if len(int_rows) <= ncols:
-        return _insertion_echelon(int_rows)
+        return _insertion_echelon(int_rows, ncols)
     from . import modular
 
-    int_rows = list({tuple(r if next(filter(None, r), 0) >= 0 else map(neg, r)): r for r in int_rows}.values())
-    a = modular.integer_matrix(int_rows)
+    unique = {}
+    for r in int_rows:
+        key = sorted(r.items())
+        unique[tuple(key if not key or key[0][1] > 0 else ((j, -x) for j, x in key))] = r
+    int_rows = list(unique.values())
+    a = modular.integer_matrix(int_rows, ncols)
     limit = modular.hadamard_limit(a)
     best, kept = None, []
     for p in modular.primes():
@@ -332,11 +346,12 @@ def _int_echelon(int_rows, ncols):
 
 
 def _to_int_row(frac_row):
+    """A Fraction row times the lcm of its denominators, as a sparse integer row {column: int}."""
     den = 1
     for x in frac_row:
         if x:
             den = lcm(den, x.denominator)
-    return [x.numerator * (den // x.denominator) if x else 0 for x in frac_row]
+    return {j: x.numerator * (den // x.denominator) for j, x in enumerate(frac_row) if x}
 
 
 def rref(rows):
@@ -398,17 +413,30 @@ def _word_ints(e, d):
 def element_coordinates(e, basis):
     """Coordinates of a weight-homogeneous element in a GradedBasis order."""
     den, ints = _word_ints(e, basis.weight)
-    cols = {basis.columns[w]: Fraction(n, den) for w, n in ints.items()}
+    cols = {basis.slots[w][0]: Fraction(n, den) for w, n in ints.items()}
     return [cols.get(i, Fraction(0)) for i in range(len(basis.monomials))]
 
 
-def _int_rows(generators, d, position):
-    """The nonzero integer rows of weight-d elements; position maps each basis word to its column."""
+def _int_rows(generators, d, slots):
+    """The nonzero weight-d elements as sparse integer rows {column: int}, each scaled as by _word_ints.
+
+    slots maps each basis word to (its column, its h power). A term off the
+    basis, or not a single h power of weight d, sends its element through
+    _word_ints, which raises NotHomogeneous or DomainError for it.
+    """
     rows = []
     for g in filter(None, generators):
-        rows.append(row := [0] * len(position))
-        for w, n in _word_ints(g, d)[1].items():
-            row[position[w]] = n
+        row = {}
+        for w, coeff in g.terms.items():
+            slot, cs = slots.get(w), coeff.coeffs
+            if slot is None or len(cs) != slot[1] + 1 or any(cs[:-1]):
+                row = {slots[w][0]: n for w, n in _word_ints(g, d)[1].items()}
+                break
+            row[slot[0]] = cs[-1]
+        else:
+            den = lcm(1, *(c.denominator for c in row.values()))
+            row = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+        rows.append(row)
     return rows
 
 
@@ -432,7 +460,7 @@ def intersect_with_h0(generators, d, hbar_lifts=True):
     h0_cols, index_basis = _h0_columns(basis)
     order = [i for i, f in enumerate(basis.h0_flags) if not f] + h0_cols
     n_non = len(order) - len(h0_cols)
-    int_rows = _int_rows(generators, d, {basis.monomials[i][1]: k for k, i in enumerate(order)})
+    int_rows = _int_rows(generators, d, _slots(basis.monomials[i] for i in order))
     try:
         pivots = _int_echelon(int_rows, len(order))
     except InternalError as exc:
@@ -449,9 +477,9 @@ def relation_basis(d, include_hbar_lifts=True, caches=None):
 
 def in_row_space(e, generators, d):
     """Exact membership of a weight-d element in the rational generator span."""
-    columns = enumerate_basis(d).columns
-    span = _reduced_tails(_int_echelon(_int_rows(generators, d, columns), len(columns)), len(columns))
-    return _in_span(_int_rows([e], d, columns), *span)
+    slots = enumerate_basis(d).slots
+    span = _reduced_tails(_int_echelon(_int_rows(generators, d, slots), len(slots)), len(slots))
+    return _in_span(_int_rows([e], d, slots), *span)
 
 
 @dataclass(frozen=True)

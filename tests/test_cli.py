@@ -185,6 +185,7 @@ def test_hoffman_examples():
     assert _run("hoffman", "2,1").stdout.strip() == "-z2 z1 z1 + z2 z2 + z3 z1"
     _run("hoffman", "1,2", expect=2)
     _run("hoffman", "2,x", expect=2)
+    assert "nonempty index" in _run("hoffman", "", expect=2).stderr
 
 
 def test_relations_weight_three_text():

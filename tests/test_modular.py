@@ -1,0 +1,73 @@
+"""The multimodular kernel against plain references: Gauss-Jordan mod p and sparse filling."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import numpy as np
+
+from qmzv import modular
+
+
+def _gauss_jordan(rows, ncols, p):
+    """(pivot columns, RREF rows) of integer rows mod p in plain ints, one column at a time, no blocks."""
+    rest = [[x % p for x in row] for row in rows]
+    cols, done = [], []
+    for c in range(ncols):
+        k = next((i for i, row in enumerate(rest) if row[c]), None)
+        if k is None:
+            continue
+        inv = pow(rest[k][c], -1, p)
+        piv = [x * inv % p for x in rest.pop(k)]
+        rest = [[(x - row[c] * y) % p for x, y in zip(row, piv)] if row[c] else row for row in rest]
+        done = [[(x - row[c] * y) % p for x, y in zip(row, piv)] if row[c] else row for row in done] + [piv]
+        cols.append(c)
+    return cols, done
+
+
+def _planted(rng, nrows, ncols, rank, bits):
+    """nrows x ncols integer rows of rank at most `rank` over Q, with about one column in eight zero."""
+    left = np.array([[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)], dtype=np.int64).reshape(nrows, rank)
+    right = np.array([[rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(ncols)] for _ in range(rank)], dtype=np.int64)
+    product = left @ right.reshape(rank, ncols)  # below 3 * 129 * 2^40, exact in int64
+    product[:, rng.sample(range(ncols), ncols // 8)] = 0
+    return product.tolist()
+
+
+def _assert_matches_reference(rows, ncols, p):
+    cols, residues = modular.rref_mod(np.array(rows, dtype=np.int64).reshape(len(rows), ncols), p)
+    want_cols, want_rows = _gauss_jordan(rows, ncols, p)
+    assert cols == want_cols
+    assert residues.shape == (len(want_cols), ncols)
+    assert np.all(np.abs(residues) <= p // 2 + 1)
+    assert (residues.astype(np.int64) % p).tolist() == want_rows
+
+
+def test_rref_mod_equals_unblocked_gauss_jordan():
+    # widths on both sides of a sub-block (16) and of a panel (128); tall and
+    # wide shapes, full and deficient rank, small and 40-bit entries
+    rng = random.Random(71)
+    primes = (7, 101, *itertools.islice(modular.primes(), 2))
+    for i, (ncols, p) in enumerate(itertools.product((15, 16, 17, 127, 128, 129), primes)):
+        nrows = (ncols + 3, ncols // 2 + 1)[i % 2]
+        rank = (ncols, ncols // 3, ncols - 2)[i % 3]
+        _assert_matches_reference(_planted(rng, nrows, ncols, rank, (3, 40)[i // 2 % 2]), ncols, p)
+
+
+def test_rref_mod_on_degenerate_shapes():
+    for p in (7, 101, next(modular.primes())):
+        _assert_matches_reference([[0] * 4] * 5, 4, p)
+        _assert_matches_reference([[0], [0], [3 * p], [2], [5]], 1, p)
+        _assert_matches_reference([[0], [p]], 1, p)
+        _assert_matches_reference([[0] * 17, [0] * 16 + [1], [0] * 17], 17, p)
+
+
+def test_integer_matrix_fills_sparse_rows():
+    a = modular.integer_matrix([{0: 3, 2: -1}, {}, {1: 2**62}], 3)
+    assert a.dtype == np.int64
+    assert a.tolist() == [[3, 0, -1], [0, 0, 0], [0, 2**62, 0]]
+    big = modular.integer_matrix([{1: -(2**100)}, {2: 1}], 3)
+    assert big.dtype == object
+    assert big.tolist() == [[0, -(2**100), 0], [0, 0, 1]]
+    assert modular.integer_matrix([], 2).shape == (0, 2)

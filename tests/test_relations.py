@@ -35,7 +35,7 @@ from qmzv.relations import (
 )
 from qmzv import modular, relations
 from qmzv.errors import InternalError
-from qmzv.relations import _in_span, _int_echelon, _reduced_tails, _to_int_row
+from qmzv.relations import _in_span, _int_echelon, _int_rows, _reduced_tails, _to_int_row, _word_ints
 
 from random_elements import property_examples
 
@@ -96,7 +96,7 @@ def test_rref_matches_oracle_on_mixed_denominators_and_zero_rows():
                 rows.append([rng.choice((Fraction(0), Fraction(rng.randint(-9, 9), rng.choice(dens)))) for _ in range(ncols)])
         assert rref(rows) == _oracle_rref(rows)
         for row in rows:
-            ints = _to_int_row(row)
+            ints = [_to_int_row(row).get(j, 0) for j in range(ncols)]
             assert all(type(x) is int for x in ints)
             assert ints == [x * lcm(*(y.denominator for y in row)) for x in row]
 
@@ -115,6 +115,11 @@ def test_rref_is_input_order_invariant():
     shuffled = rows[:]
     rng.shuffle(shuffled)
     assert rref(rows) == rref(shuffled)
+
+
+def _sparse(rows):
+    """Dense integer rows as the sparse rows {column: int} that _int_echelon and _in_span take."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def _primitive_rref(rows):
@@ -144,7 +149,7 @@ def test_int_echelon_equals_insertion_over_all_rows():
                 rows.append([sum(c * r[j] for c, r in zip(coeffs, picks)) for j in range(ncols)])
             else:
                 rows.append([rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(ncols)])
-        assert _int_echelon(rows, ncols) == _primitive_rref(rows)
+        assert _int_echelon(_sparse(rows), ncols) == _primitive_rref(rows)
 
 
 def test_int_echelon_falls_back_when_the_prime_loses_rank():
@@ -152,9 +157,9 @@ def test_int_echelon_falls_back_when_the_prime_loses_rank():
     # certificate fails and a further prime gives the answer
     first, second = itertools.islice(modular.primes(), 2)
     for p in (2**31 - 1, first, second):
-        assert _int_echelon([[1, 0], [1, p], [2, 0]], 2) == {0: [1, 0], 1: [0, 1]}
+        assert _int_echelon(_sparse([[1, 0], [1, p], [2, 0]]), 2) == {0: [1, 0], 1: [0, 1]}
         # with a column left over, the primes of the lower rank must not enter the reconstruction
-        assert _int_echelon([[1, 0, 1], [1, p, 1], [2, 0, 2], [3, 0, 3]], 3) == {0: [1, 0, 1], 1: [0, 1, 0]}
+        assert _int_echelon(_sparse([[1, 0, 1], [1, p, 1], [2, 0, 2], [3, 0, 3]]), 3) == {0: [1, 0, 1], 1: [0, 1, 0]}
 
 
 def test_int_echelon_keeps_the_row_space_when_a_skipped_row_needs_a_later_row():
@@ -165,7 +170,7 @@ def test_int_echelon_keeps_the_row_space_when_a_skipped_row_needs_a_later_row():
     want = _primitive_rref(rows)
     assert want == {0: [1, 0, 0, 0], 1: [0, 1, 0, 1], 2: [0, 0, 1, 0]}
     for order in itertools.permutations(rows):
-        assert _int_echelon(list(order), 4) == want
+        assert _int_echelon(_sparse(order), 4) == want
 
 
 def test_int_echelon_adds_primes_on_large_entries(monkeypatch):
@@ -178,7 +183,7 @@ def test_int_echelon_adds_primes_on_large_entries(monkeypatch):
     used = []
     rref_mod = modular.rref_mod
     monkeypatch.setattr(modular, "rref_mod", lambda a, p: used.append(p) or rref_mod(a, p))
-    got = _int_echelon(rows, 5)
+    got = _int_echelon(_sparse(rows), 5)
     assert got == _primitive_rref(rows)
     assert len(used) > 10 and len(set(used)) == len(used)
     assert max(abs(x).bit_length() for row in got.values() for x in row) > 250
@@ -203,10 +208,28 @@ def test_in_span_keeps_packed_entries_apart():
     # the span of (1, 0, 0, 0): a difference entry of 2^k next to a -1 must
     # not carry into the next packing slot and cancel it
     span = _reduced_tails({0: [1, 0, 0, 0]}, 4)
-    assert _in_span([[5, 0, 0, 0], [0, 0, 0, 0], [-(2**100), 0, 0, 0]], *span)
+    assert _in_span(_sparse([[5, 0, 0, 0], [0, 0, 0, 0], [-(2**100), 0, 0, 0]]), *span)
     for k in (1, 7, 8, 40, 100):
-        assert not _in_span([[0, 2**k, -1, 0]], *span)
-        assert not _in_span([[1, 0, 0, 0], [3, 0, 2**k, -1]], *span)
+        assert not _in_span(_sparse([[0, 2**k, -1, 0]]), *span)
+        assert not _in_span(_sparse([[1, 0, 0, 0], [3, 0, 2**k, -1]]), *span)
+
+
+def test_int_rows_read_terms_like_word_ints():
+    # a term off the slot table sends its element through _word_ints, so the
+    # errors are its own, also when the term follows a good one
+    bad = ("h*z2", "z4 + h*z2", "z5", "z4 + z5", "h^2*z1 z1", "z4 + h^2*z1 z1", "x y", "h^2*x y", "z2 + h^2*z2", "z4 + h^2*z2 + h^3*z2")
+    for text in bad:
+        e = parse_element(text)
+        with pytest.raises((NotHomogeneous, DomainError)) as want:
+            _word_ints(e, 4)
+        with pytest.raises(want.type) as got:
+            _int_rows([e], 4, enumerate_basis(4).slots)
+        assert str(got.value) == str(want.value)
+    # Fraction coefficients scale by the lcm of their denominators, as in _word_ints
+    for text, d in (("1/2*z3 + 2/3*h*z2 - 5/4*h^3", 3), ("3*h*z2 z1 - 6*h*z3 + h*xi z2 + z4", 4), ("-7/6*xi", 1)):
+        e = parse_element(text)
+        slots = enumerate_basis(d).slots
+        assert _int_rows([e, Element(), e], d, slots) == 2 * [{slots[w][0]: n for w, n in _word_ints(e, d)[1].items()}]
 
 
 def _tall_matrix(rng):
@@ -402,8 +425,8 @@ def test_int_echelon_eliminates_each_row_once_up_to_sign(monkeypatch):
     tall = rows + [[-x for x in r] for r in rows] + rows
     shapes = []
     integer_matrix = modular.integer_matrix
-    monkeypatch.setattr(modular, "integer_matrix", lambda r: shapes.append(len(r)) or integer_matrix(r))
-    assert _int_echelon(tall, 4) == _primitive_rref(rows)
+    monkeypatch.setattr(modular, "integer_matrix", lambda r, ncols: shapes.append(len(r)) or integer_matrix(r, ncols))
+    assert _int_echelon(_sparse(tall), 4) == _primitive_rref(rows)
     assert shapes == [3]
 
 
@@ -421,6 +444,8 @@ def test_hoffman_values():
     assert gen_hoffman((3,)) == parse_element("z4 - z3 z1 - z2 z2")
     with pytest.raises(NotAdmissible):
         gen_hoffman((1, 2))
+    with pytest.raises(NotAdmissible, match="nonempty index"):
+        gen_hoffman(())
 
 
 def test_hoffman_lies_in_double_shuffle_span():
