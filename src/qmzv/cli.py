@@ -20,7 +20,6 @@ from .products import harmonic, shuffle, star
 from .evaluate import QContext, _suffix_tables, l_value, z_q
 from .relations import (
     dims_table,
-    gen_double_shuffle,
     gen_hoffman,
     relation_basis,
     relation_basis_from_doc,

@@ -1,9 +1,10 @@
 """Relation spaces among the normalized series values.
 
 Builds the double-shuffle generators (harmonic minus integral shuffle) and
-the resummation-duality generators (phi-rho words minus their duals),
-intersects their span with the z-word part of the weight-d component by
-exact rational elimination, and reports relation bases over admissible
+the resummation-duality generators (phi-rho words minus their duals) as
+integer rows {A-word: int}, each word w read at weight d as the monomial
+h^(d - deg w) w; intersects their span with the z-word part of the weight-d
+component by exact elimination, and reports relation bases over admissible
 indices together with the dimension table. A system with more rows than
 columns is reduced multimodularly (the modular module) and the result
 certified exactly; a smaller one by fraction-free elimination.
@@ -13,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm, prod
 
 from .errors import DomainError, InternalError, NotAdmissible, NotHomogeneous
-from .hpoly import HPoly
-from .words import XI, Element, _collect, _raw, a_words_of_degree, contract_word, expand_word, index_from_text, index_to_text
+from .words import XI, Element, _collect, a_words_of_degree, contract_word, expand_word, index_from_text, index_to_text
 from .words import is_admissible_index, is_admissible_start, word_degree, word_in_space, word_to_index
 from .products import _alpha, _quasi_shuffle_words, circle, harmonic, phi  # noqa: F401 (harmonic: a binding callers use)
 from .evaluate import _suffix_tables, zbar_q
@@ -38,14 +38,9 @@ class GradedBasis:
     h0_flags: tuple
 
     @cached_property
-    def slots(self):
-        """Map from each word to (the position of its monomial, its h power), built once per basis."""
-        return _slots(self.monomials)
-
-
-def _slots(monomials):
-    """{word: (column, h power)} for (h power, word) monomials taken as columns in this order."""
-    return {w: (k, j) for k, (j, w) in enumerate(monomials)}
+    def columns(self):
+        """Map from each word to the position of its monomial, built once per basis."""
+        return {w: i for i, (_, w) in enumerate(self.monomials)}
 
 
 def enumerate_basis(d):
@@ -76,24 +71,20 @@ def _h_lifted(family, d, caches, new):
     return got
 
 
-def _elements(rows, d):
-    """The weight-d Elements of {A-word: int} rows, each n w read as n h^(d - deg w) w."""
-    monomial = cache(lambda j, n: HPoly((0,) * j + (n,)))
-    return [_raw({w: monomial(d - word_degree(w), n) for w, n in row.items()}) for row in rows]
-
-
 def gen_double_shuffle(d, caches=None):
-    """Generators w * w' - w sh w' spanning the double-shuffle space.
+    """Generators w * w' - w sh w' spanning the double-shuffle space, as weight-d rows.
 
     Enumerates unordered pairs of admissible-start words with degree sum
-    d - j for every j >= 0 and lifts by h^j, so the list is homogeneous of
-    weight d. Deterministic order: j ascending, then degrees, then words.
-    Each weight's rows are kept in caches["double_shuffle"].
+    d - j for every j >= 0 and lifts by h^j. Each generator is an integer
+    row {A-word: int} read at weight d: n w stands for n h^(d - deg w) w, so
+    the h^j lift of a row is the row itself. Deterministic order: j
+    ascending, then degrees, then words. Each weight's rows are kept in
+    caches["double_shuffle"]; the returned rows are fresh copies.
     """
     if d < 2:
         raise ValueError("double shuffle needs weight >= 2")
     caches = {} if caches is None else caches
-    return _elements(_h_lifted("double_shuffle", d, caches, lambda k: _shuffle_pairs(k, caches)), d)
+    return [dict(r) for r in _h_lifted("double_shuffle", d, caches, lambda k: _shuffle_pairs(k, caches))]
 
 
 def _shuffle_pairs(d, caches):
@@ -119,19 +110,21 @@ def _shuffle_pairs(d, caches):
 
 
 def gen_resummation(d, include_hbar_lifts=True, caches=None):
-    """Duality generators phi_{a? +1} rho^b ... minus the reversed-swapped word.
+    """Duality generators phi_{a? +1} rho^b ... minus the reversed-swapped word, as weight-d rows.
 
     Every composition with weight sum d contributes the difference of the
     phi-rho word and its dual (reverse the factors, swap each (a, b)); the
-    self-dual compositions are dropped since they vanish. With lifts on,
-    h^j times the weight-(d-j) generators are appended for j >= 1, and each
-    weight's rows are kept in caches["resummation"].
+    self-dual compositions are dropped since they vanish. Each generator is
+    an integer row {A-word: int} read at weight d, as in gen_double_shuffle.
+    With lifts on, h^j times the weight-(d-j) generators (the same rows) are
+    appended for j >= 1, and each weight's rows are kept in
+    caches["resummation"]; the returned rows are fresh copies.
     """
     if d < 1:
         raise ValueError("resummation needs weight >= 1")
     caches = {} if caches is None else caches
     rows = _h_lifted("resummation", d, caches, _dual_differences) if include_hbar_lifts else _dual_differences(d)
-    return _elements(rows, d)
+    return [dict(r) for r in rows]
 
 
 def _concat(a, b):
@@ -413,31 +406,23 @@ def _word_ints(e, d):
 def element_coordinates(e, basis):
     """Coordinates of a weight-homogeneous element in a GradedBasis order."""
     den, ints = _word_ints(e, basis.weight)
-    cols = {basis.slots[w][0]: Fraction(n, den) for w, n in ints.items()}
+    cols = {basis.columns[w]: Fraction(n, den) for w, n in ints.items()}
     return [cols.get(i, Fraction(0)) for i in range(len(basis.monomials))]
 
 
-def _int_rows(generators, d, slots):
-    """The nonzero weight-d elements as sparse integer rows {column: int}, each scaled as by _word_ints.
+def _int_rows(rows, d, columns):
+    """The nonempty {A-word: int} rows as sparse integer rows {column: int}.
 
-    slots maps each basis word to (its column, its h power). A term off the
-    basis, or not a single h power of weight d, sends its element through
-    _word_ints, which raises NotHomogeneous or DomainError for it.
+    columns maps each word of the weight-d basis to its column; a word
+    outside it raises DomainError.
     """
-    rows = []
-    for g in filter(None, generators):
-        row = {}
-        for w, coeff in g.terms.items():
-            slot, cs = slots.get(w), coeff.coeffs
-            if slot is None or len(cs) != slot[1] + 1 or any(cs[:-1]):
-                row = {slots[w][0]: n for w, n in _word_ints(g, d)[1].items()}
-                break
-            row[slot[0]] = cs[-1]
-        else:
-            den = lcm(1, *(c.denominator for c in row.values()))
-            row = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
-        rows.append(row)
-    return rows
+    out = []
+    for row in filter(None, rows):
+        try:
+            out.append({columns[w]: n for w, n in row.items()})
+        except KeyError as exc:
+            raise DomainError("word %s is not in the weight-%d admissible basis" % (exc.args[0], d)) from None
+    return out
 
 
 def _h0_columns(basis):
@@ -446,11 +431,12 @@ def _h0_columns(basis):
     return cols, tuple(word_to_index(basis.monomials[i][1]) for i in cols)
 
 
-def intersect_with_h0(generators, d, hbar_lifts=True):
-    """Intersection of the generator span with the z-word part at weight d.
+def intersect_with_h0(rows, d, hbar_lifts=True):
+    """Intersection of the span of generator rows with the z-word part at weight d.
 
+    rows are {A-word: int} rows read at weight d (see gen_double_shuffle).
     Orders coordinates with the non-z-part monomials first and row-reduces
-    every nonzero generator row with _int_echelon: multimodular and
+    every nonempty row with _int_echelon: multimodular and
     certified when there are more rows than columns, fraction-free
     otherwise. The echelon rows whose pivot lies in the z-word block are
     zero outside it and exactly span the intersection; their reduced
@@ -460,7 +446,7 @@ def intersect_with_h0(generators, d, hbar_lifts=True):
     h0_cols, index_basis = _h0_columns(basis)
     order = [i for i, f in enumerate(basis.h0_flags) if not f] + h0_cols
     n_non = len(order) - len(h0_cols)
-    int_rows = _int_rows(generators, d, _slots(basis.monomials[i] for i in order))
+    int_rows = _int_rows(rows, d, {basis.monomials[i][1]: k for k, i in enumerate(order)})
     try:
         pivots = _int_echelon(int_rows, len(order))
     except InternalError as exc:
@@ -475,11 +461,16 @@ def relation_basis(d, include_hbar_lifts=True, caches=None):
     return intersect_with_h0(gens, d, include_hbar_lifts)
 
 
-def in_row_space(e, generators, d):
-    """Exact membership of a weight-d element in the rational generator span."""
-    slots = enumerate_basis(d).slots
-    span = _reduced_tails(_int_echelon(_int_rows(generators, d, slots), len(slots)), len(slots))
-    return _in_span(_int_rows([e], d, slots), *span)
+def in_row_space(e, rows, d):
+    """Exact membership of a weight-d element in the rational span of generator rows.
+
+    rows are {A-word: int} rows read at weight d (see gen_double_shuffle);
+    e is an Element, NotHomogeneous or DomainError if it is off the basis.
+    """
+    columns = enumerate_basis(d).columns
+    row = _int_rows([_word_ints(e, d)[1]], d, columns)
+    span = _reduced_tails(_int_echelon(_int_rows(rows, d, columns), len(columns)), len(columns))
+    return _in_span(row, *span)
 
 
 @dataclass(frozen=True)

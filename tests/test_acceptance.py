@@ -22,6 +22,7 @@ from qmzv.words import (
     Element,
     a_words_of_degree,
     element_weight,
+    word_degree,
     word_in_space,
     xi_rho_times,
 )
@@ -269,7 +270,9 @@ def test_resummation_duality_numeric():
         cache = {}
         count = 0
         for d in range(1, 7):
-            for g in gen_resummation(d, include_hbar_lifts=False):
+            for row in gen_resummation(d, include_hbar_lifts=False):
+                # the weight-d Element of the row: each n w read as n h^(d - deg w) w
+                g = Element((w, HPoly((0,) * (d - word_degree(w)) + (n,))) for w, n in row.items())
                 weight = element_weight(g)
                 scale = float((1 - q)) ** (-weight)
                 value, tail = _eval_element_cached(g, ctx, cache)

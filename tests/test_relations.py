@@ -12,8 +12,8 @@ from math import lcm, prod
 import pytest
 
 from qmzv.errors import DomainError, NotAdmissible, NotHomogeneous
-from qmzv.hpoly import H, ONE, h_power
-from qmzv.words import XI, Element, a_words_of_degree
+from qmzv.hpoly import H, ONE, HPoly, h_power
+from qmzv.words import XI, Element, a_words_of_degree, word_degree
 from qmzv.expr import format_element, parse_element
 from qmzv.evaluate import QContext
 from qmzv.products import harmonic, phi, shuffle
@@ -40,6 +40,18 @@ from qmzv.relations import _in_span, _int_echelon, _int_rows, _reduced_tails, _t
 from random_elements import property_examples
 
 E = Element.from_word
+
+
+def _row(el, d):
+    """The {A-word: int} row of an integer Element homogeneous of weight d."""
+    den, row = _word_ints(el, d)
+    assert den == 1, el
+    return row
+
+
+def _element(row, d):
+    """The weight-d Element of an {A-word: int} row: each n w read as n h^(d - deg w) w."""
+    return Element((w, HPoly((0,) * (d - word_degree(w)) + (n,))) for w, n in row.items())
 
 
 def _oracle_rref(rows):
@@ -215,21 +227,38 @@ def test_in_span_keeps_packed_entries_apart():
 
 
 def test_int_rows_read_terms_like_word_ints():
-    # a term off the slot table sends its element through _word_ints, so the
-    # errors are its own, also when the term follows a good one
+    # in_row_space reads its element through _word_ints alone, so the errors
+    # are its own, also when the bad term follows a good one
     bad = ("h*z2", "z4 + h*z2", "z5", "z4 + z5", "h^2*z1 z1", "z4 + h^2*z1 z1", "x y", "h^2*x y", "z2 + h^2*z2", "z4 + h^2*z2 + h^3*z2")
+    gens = gen_double_shuffle(4)
     for text in bad:
         e = parse_element(text)
         with pytest.raises((NotHomogeneous, DomainError)) as want:
             _word_ints(e, 4)
         with pytest.raises(want.type) as got:
-            _int_rows([e], 4, enumerate_basis(4).slots)
+            in_row_space(e, gens, 4)
         assert str(got.value) == str(want.value)
-    # Fraction coefficients scale by the lcm of their denominators, as in _word_ints
+    # Fraction coefficients scale by the lcm of their denominators in _word_ints;
+    # _int_rows moves each integer to its word's column and drops empty rows
     for text, d in (("1/2*z3 + 2/3*h*z2 - 5/4*h^3", 3), ("3*h*z2 z1 - 6*h*z3 + h*xi z2 + z4", 4), ("-7/6*xi", 1)):
         e = parse_element(text)
-        slots = enumerate_basis(d).slots
-        assert _int_rows([e, Element(), e], d, slots) == 2 * [{slots[w][0]: n for w, n in _word_ints(e, d)[1].items()}]
+        row, columns = _word_ints(e, d)[1], enumerate_basis(d).columns
+        assert _int_rows([row, {}, row], d, columns) == 2 * [{columns[w]: n for w, n in row.items()}]
+        assert in_row_space(e, [row], d)
+
+
+@pytest.mark.parametrize("row", [{(1, 2): 1}, {(4,): 1}, {(3,): 1, (2, 2): -1}, {(2, 1): 1, (XI, 1): 1, "x y": 2}])
+def test_rows_off_the_weight_d_basis_raise_domain_error(row):
+    # z1 z2 starts with z1, z2 z2 and z4 have degree 4, x y is not an A-word
+    word = next(w for w in row if w not in enumerate_basis(3).columns)
+    want = "word %s is not in the weight-3 admissible basis" % (word,)
+    gens = gen_double_shuffle(3) + [row]
+    with pytest.raises(DomainError) as got:
+        intersect_with_h0(gens, 3)
+    assert str(got.value) == want
+    with pytest.raises(DomainError) as got:
+        in_row_space(E((3,)), gens, 3)
+    assert str(got.value) == want
 
 
 def _tall_matrix(rng):
@@ -291,7 +320,7 @@ def test_element_coordinates_homogeneity():
 def test_double_shuffle_weight_two():
     gens = gen_double_shuffle(2)
     assert len(gens) == 1
-    assert gens[0] == parse_element("z2 - h*xi - xi z1 + xi xi")
+    assert gens[0] == _row(parse_element("z2 - h*xi - xi z1 + xi xi"), 2)
 
 
 def _double_shuffle_reference(d):
@@ -320,16 +349,30 @@ def test_double_shuffle_order_is_the_same_with_shared_caches():
     shared = {}
     for d in range(2, 7):
         got = gen_double_shuffle(d, shared)
-        assert got == gen_double_shuffle(d) == _double_shuffle_reference(d)
+        assert got == gen_double_shuffle(d) == [_row(el, d) for el in _double_shuffle_reference(d)]
         got.clear()
         assert gen_double_shuffle(d, shared) == gen_double_shuffle(d)
+        _change_rows(gen_double_shuffle(d, shared))
+        assert gen_double_shuffle(d, shared) == gen_double_shuffle(d)
+
+
+def _change_rows(rows):
+    """Change every row of a list in place: the first emptied, the others with one entry negated and one word added."""
+    for k, row in enumerate(rows):
+        w = next(iter(row))
+        row[w] = -row[w]
+        row[(XI, XI, XI)] = row.get((XI, XI, XI), 0) + 1
+        if k == 0:
+            row.clear()
 
 
 def test_double_shuffle_generators_are_homogeneous():
     for d in (2, 3, 4):
         basis = enumerate_basis(d)
         for g in gen_double_shuffle(d):
-            element_coordinates(g, basis)
+            # a row is read at weight d, so it is homogeneous when its words are weight-d basis words
+            assert g and g.keys() <= basis.columns.keys() and all(type(n) is int and n for n in g.values())
+            element_coordinates(_element(g, d), basis)
 
 
 def test_resummation_weight_two():
@@ -337,8 +380,8 @@ def test_resummation_weight_two():
     # compositions (0,1) and (1,0) give the same generator up to sign;
     # ((0,0),(0,0)) is self-dual and dropped
     assert len(gens) == 2
-    assert gens[0] == -gens[1]
-    assert gens[1] == parse_element("z2 - h*xi - xi z1 + xi xi")
+    assert gens[0] == {w: -n for w, n in gens[1].items()}
+    assert gens[1] == _row(parse_element("z2 - h*xi - xi z1 + xi xi"), 2)
 
 
 def _resummation_reference(d, lifts):
@@ -382,14 +425,16 @@ def test_resummation_order_is_the_same_with_shared_caches():
     for d in range(1, 7):
         for lifts in (True, False):
             got = gen_resummation(d, lifts, shared)
-            assert got == gen_resummation(d, lifts) == _resummation_reference(d, lifts)
+            assert got == gen_resummation(d, lifts) == [_row(el, d) for el in _resummation_reference(d, lifts)]
             got.clear()
+            assert gen_resummation(d, lifts, shared) == gen_resummation(d, lifts)
+            _change_rows(gen_resummation(d, lifts, shared))
             assert gen_resummation(d, lifts, shared) == gen_resummation(d, lifts)
 
 
 # sha256 of the canonical texts of the generators for d = 2..7 in order, one
 # line per generator, computed when they were still built through the Element
-# products; the integer rows must give the same Elements
+# products; the integer rows, read as weight-d Elements, must give the same texts
 GENERATOR_DIGESTS = {
     "double shuffle": "77de2d72bf4ea8a634b7805367f461bbd977040e69f75ea5849f00ac5330bf01",
     "resummation with lifts": "44e763741046660b97f886dcd2c187ec0b81a3286d323f9aaab36bcf321b489b",
@@ -405,7 +450,7 @@ def test_generator_texts_match_the_recorded_digests():
         "resummation without lifts": lambda d: gen_resummation(d, False, caches),
     }
     for name, gens in families.items():
-        text = "\n".join(format_element(g) for d in range(2, 8) for g in gens(d))
+        text = "\n".join(format_element(_element(g, d)) for d in range(2, 8) for g in gens(d))
         assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[name], name
 
 
@@ -415,7 +460,7 @@ def test_relation_basis_matches_the_element_product_generators(lifts):
     # build every generator with the public harmonic, shuffle and Element products
     caches = {}
     for d in range(2, 7):
-        gens = _double_shuffle_reference(d) + _resummation_reference(d, lifts)
+        gens = [_row(el, d) for el in _double_shuffle_reference(d) + _resummation_reference(d, lifts)]
         assert relation_basis(d, lifts, caches) == intersect_with_h0(gens, d, lifts)
 
 
@@ -435,7 +480,7 @@ def test_resummation_lift_flag():
     without = gen_resummation(3, include_hbar_lifts=False)
     assert len(with_lifts) > len(without)
     lifted = [g for g in with_lifts if g not in without]
-    assert lifted and all(all(c[0] == 0 for c in g.terms.values()) for g in lifted)
+    assert lifted and all(all(c[0] == 0 for c in _element(g, 3).terms.values()) for g in lifted)
 
 
 def test_hoffman_values():
