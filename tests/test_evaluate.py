@@ -324,6 +324,32 @@ def test_exact_values_match_the_recorded_digests():
         assert hashlib.sha256(str(value).encode()).hexdigest() == digest, text
 
 
+# sha256 over one line per L-value and q-difference check of this float and
+# complex grid (value type, repr of value and tail, certified flag), recorded
+# before L-values read their outer sum from the suffix tables
+L_GRID_QS = (Fraction(1, 2), Fraction(3, 4), 0.3 + 0.2j)
+L_GRID_TS = (Fraction(3, 10), Fraction(-1, 5), 0.6, 0.2 + 0.1j)
+L_GRID_ELEMENTS = ("1", "z2", "2 - h*z2", "xi z2", "z3 z2 - 3/2*h*xi z2", "xi xi + h*z2 z2")
+L_GRID_DIGEST = "528b9ba4c02bfda33999fc73f4ceed612a2812dfa1a463d989ac3c31b5986202"
+
+
+def test_float_and_complex_l_values_match_the_recorded_digest():
+    lines = []
+    for q in L_GRID_QS:
+        ctx = QContext(q=q, N=60)
+        for t in L_GRID_TS:
+            for text in L_GRID_ELEMENTS:
+                e = parse_element(text)
+                res = l_value(e, t, ctx)
+                lines.append("L %r %r %s: %s %r %r %r" % (q, t, text, type(res.value).__name__, res.value, res.tail_bound, res.certified))
+                try:
+                    rep = dq_check(e, t, ctx)
+                    lines.append("D %r %r %s: %s %r %r %r" % (q, t, text, rep.form, rep.r, rep.lhs, rep.rhs))
+                except DomainError as err:
+                    lines.append("D %r %r %s: %s" % (q, t, text, err))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == L_GRID_DIGEST
+
+
 def _fraction_digest(value):
     """sha256 over the signed big-endian bytes of numerator and denominator.
 
