@@ -9,12 +9,12 @@ evaluated at 1 - q before summation.
 F-tables come from a suffix memo for one q, N and mode: a word's table
 extends its longest stored suffix, so the words of an element, of the three
 series of a q-difference check, or of a whole ``verify`` build each suffix
-once, with the same values as a fresh table. In float and complex mode
-(``_Tables``) the partial sums are float or complex numbers. In exact mode
-(``_ExactTables``) q = a/b and every table is kept as integers over one
-denominator known in advance, a power of b times a product of the
-c_n = b^n - a^n; a value is reduced to a Fraction only when it is read, so
-it is the same Fraction as from Fraction arithmetic throughout.
+once, with the same values as a fresh table; the outer sum of an L-value is
+one more letter of the same memo. Float and complex tables (``_Tables``)
+hold float or complex partial sums. Exact tables (``_ExactTables``) at
+q = a/b hold integers over a denominator known in advance, a constant times
+a product of the c_n = b^n - a^n; each value is reduced to a Fraction once,
+when read, so it is the same Fraction as from Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -144,7 +144,9 @@ class _Tables:
     A word's table extends its longest stored suffix one letter at a time by
     F_{uw}(n) = F_{uw}(n-1) + I_u(n-1) F_w(n-1), with the operations of a
     fresh table in the same order, so sharing a memo changes no bit of any
-    value. A memo lives for one call or one verify, never in the module.
+    value. The letter (u, type(t), t) is I(n) = t^n/[n]^kappa with kappa 1 for
+    xi, k for z_k, so F_{(u,type(t),t)w}(N) = L_{uw}(t). A memo lives for one
+    call or one verify, never in the module.
     """
 
     def __init__(self, N, ctx):
@@ -165,13 +167,25 @@ class _Tables:
         for j in range(i - 1, -1, -1):
             u = word[j]
             if u not in self.letters:  # I_u(n) for n = 0..N-1, index 0 unused
-                self.letters[u] = [0] + [_letter(u, self.qpow[n], self.qints[n], self.q) for n in range(1, self.N)]
+                self.letters[u] = self._series(u)
             ivals, cur, acc = self.letters[u], [self.zero] * (self.N + 1), self.zero
             for m in range(1, self.N + 1):
                 acc = acc + ivals[m - 1] * vals[m - 1]
                 cur[m] = acc
             self.tables[word[j:]] = vals = cur
         return vals
+
+    def _series(self, u):
+        """I_u(n) for n = 0..N-1, index 0 unused; complex t at real q widens [n] to complex."""
+        if not isinstance(u, tuple):
+            return [0] + [_letter(u, self.qpow[n], self.qints[n], self.q) for n in range(1, self.N)]
+        u, _, t = u
+        one, qints = self.one, self.qints
+        if isinstance(t, complex) and not isinstance(one, complex):
+            one = one + 0j
+            qints = [0] + [(1 - qn) / (1 - self.q) for qn in _q_powers(self.q, self.N, one)[1:]]
+        tpow = _q_powers(t, self.N, one)
+        return [0] + [tpow[n] / qints[n] if u == XI else tpow[n] / qints[n] ** u for n in range(1, self.N)]
 
     def value(self, word):
         """F_word(N)."""
@@ -185,13 +199,13 @@ class _Tables:
 
 
 class _ExactTables(_Tables):
-    """Exact F-tables at q = a/b: integers over one denominator per suffix, no gcd until a read.
+    """Exact F-tables at q = a/b: integers over one denominator per suffix, one gcd per read.
 
-    With c_n = b^n - a^n each letter is I_u(n) = M_u(n) / (b^beta_u c_n^kappa_u)
-    for an integer M_u(n) (see _integer_letter). A suffix w is stored as
-    integers P_w(n) = F_w(n) b^beta prod_{0<m<n} c_m^K, with beta the sum of
-    the beta of its letters and K at least their largest kappa, and the
-    recursion of _Tables becomes
+    With c_n = b^n - a^n each letter is I_u(n) = M_u(n) / (D_u c_n^kappa_u)
+    for an integer M_u(n) and a constant D_u (see _integer_letter). A suffix
+    w is stored as integers P_w(n) = F_w(n) D prod_{0<m<n} c_m^K, with D the
+    product of the D_u of its letters and K at least their largest kappa, and
+    the recursion of _Tables becomes
     P_uw(n) = P_uw(n-1) c_{n-1}^K + M_u(n-1) c_{n-1}^(K-kappa_u) P_w(n-1).
     The new suffixes of a word all take the largest exponent among its new
     letters and its stored suffix, whose table is first multiplied by
@@ -205,7 +219,7 @@ class _ExactTables(_Tables):
         self.one, self.zero = Fraction(1), Fraction(0)
         self.a, self.b = ctx.q_value.numerator, ctx.q_value.denominator
         self.c = [self.b**n - self.a**n for n in range(N + 1)]
-        self.powers, self.tables, self.tails = {}, {(): ([1] * (N + 1), 0, 0)}, {}
+        self.powers, self.tables, self.tails = {}, {(): ([1] * (N + 1), 0, 1)}, {}
 
     def _powers(self, k):
         """(c_n^k, prod_{0<m<n} c_m^k) for n = 0..N, built once per k."""
@@ -218,22 +232,26 @@ class _ExactTables(_Tables):
         return self.powers[k]
 
     def _integer_letter(self, u):
-        """(M_u(n) for n = 0..N-1, kappa_u, beta_u); index 0 unused."""
+        """(M_u(n) for n = 0..N-1, kappa_u, D_u); index 0 unused."""
         a, b, N = self.a, self.b, self.N
+        if isinstance(u, tuple):  # t^n/[n]^k = c^n e^(N-1-n) b^((n-1)k) (b-a)^k / (e^(N-1) c_n^k) at t = c/e
+            u, _, t = u
+            k, c, e = 1 if u == XI else u, t.numerator, t.denominator
+            return [0] + [c**n * e ** (N - 1 - n) * b ** ((n - 1) * k) * (b - a) ** k for n in range(1, N)], k, e ** (N - 1)
         if u == RHO:  # 1 - q = (b-a)/b
-            return [b - a] * N, 0, 1
+            return [b - a] * N, 0, b
         if u == XI:  # q^n/[n] = a^n (b-a) / (b c_n)
-            return [a**n * (b - a) for n in range(N)], 1, 1
+            return [a**n * (b - a) for n in range(N)], 1, b
         if u >= 1:  # q^((k-1)n)/[n]^k = a^((k-1)n) (b-a)^k b^n / (b^k c_n^k)
-            return [a ** ((u - 1) * n) * (b - a) ** u * b**n for n in range(N)], u, u
+            return [a ** ((u - 1) * n) * (b - a) ** u * b**n for n in range(N)], u, b**u
         raise ValueError("bad letter code %r" % (u,))
 
     def _entry(self, word):
-        """(P_word, K, beta) of word, extending its longest stored suffix."""
+        """(P_word, K, D) of word, extending its longest stored suffix."""
         i = 0
         while word[i:] not in self.tables:
             i += 1
-        vals, K, beta = self.tables[word[i:]]
+        vals, K, den = self.tables[word[i:]]
         letters = [self._integer_letter(u) for u in word[:i]]
         top = max([K] + [kappa for _, kappa, _ in letters])
         if top > K:
@@ -241,26 +259,25 @@ class _ExactTables(_Tables):
             K = top
         cK = self._powers(K)[0]
         for j in range(i - 1, -1, -1):
-            num, kappa, beta_u = letters[j]
+            num, kappa, den_u = letters[j]
             step = [m * c for m, c in zip(num, self._powers(K - kappa)[0])]
             cur, acc = [0] * (self.N + 1), 0
             for n in range(2, self.N + 1):
                 acc = acc * cK[n - 1] + step[n - 1] * vals[n - 1]
                 cur[n] = acc
-            vals, beta = cur, beta + beta_u
-            self.tables[word[j:]] = vals, K, beta
-        return vals, K, beta
+            vals, den = cur, den * den_u
+            self.tables[word[j:]] = vals, K, den
+        return vals, K, den
 
     def table(self, word):
         """F_word(n) for n = 0..N, each Fraction reduced on this read."""
-        vals, K, beta = self._entry(word)
-        scale = self.b**beta
-        return [Fraction(p, scale * d) for p, d in zip(vals, self._powers(K)[1])]
+        vals, K, den = self._entry(word)
+        return [Fraction(p, den * d) for p, d in zip(vals, self._powers(K)[1])]
 
     def value(self, word):
         """F_word(N), reduced on this read."""
-        vals, K, beta = self._entry(word)
-        return Fraction(vals[self.N], self.b**beta * self._powers(K)[1][self.N])
+        vals, K, den = self._entry(word)
+        return Fraction(vals[self.N], den * self._powers(K)[1][self.N])
 
 
 def _new_tables(N, ctx):
@@ -298,19 +315,23 @@ def z_q(e, ctx, tables=None):
     """
     if not membership(e, "H0hat"):
         raise DomainError("z_q needs an element of the admissible span")
+    return EvalResult(*_word_sum(e, ctx, tables, abs(ctx.q_value)), ctx.certified)
+
+
+def _word_sum(e, ctx, tables, x, t=None):
+    """(value, tail bound) of Z_q(e), or of L_e(t) when t is given: one table read and one binom_tail(x, N, r) per word."""
     tables = _suffix_tables(ctx, tables)
     hval = 1 - ctx.q_value
-    x = abs(ctx.q_value)
-    value = tables.zero
+    value = tables.zero + 0j if isinstance(t, complex) else tables.zero  # complex t at real q: a complex sum
     tail = 0.0
     for word, coeff in e.terms.items():
         c = coeff.evaluate(hval)
         if not word:
             value = value + c
             continue
-        value = value + c * tables.value(word)
+        value = value + c * tables.value(word if t is None else ((word[0], type(t), t),) + word[1:])
         tail += float(abs(c)) * tables.tail(x, len(word))
-    return EvalResult(value, tail, ctx.certified)
+    return value, tail
 
 
 def zbar_q(e, ctx, tables=None):
@@ -327,44 +348,19 @@ def l_value(e, t, ctx, tables=None):
     """The q-polylogarithm L_e(t), truncated at the context N.
 
     For a word u w the outer factor is t^n/[n] when u is xi and t^n/[n]^k
-    when u is z_k; L_1(t) = 1. Requires |t| < 1. The tables of the words w
-    come from one suffix memo, as in z_q.
+    when u is z_k; L_1(t) = 1. Requires |t| < 1. The outer sum is one more
+    letter of the suffix memo, so L-values share their tables with z_q.
     """
     if not abs(t) < 1:
         raise DomainError("l_value needs |t| < 1")
     if not membership(e, "H0hat"):
         raise DomainError("l_value needs an element of the admissible span")
-    tables = _suffix_tables(ctx, tables)
-    q = ctx.q_value
-    hval = 1 - q
     if ctx.mode == "exact":
         t = Fraction(t)
     elif not isinstance(t, complex):
         t = float(t)
-    N, one = ctx.N, tables.one
-    widen = isinstance(t, complex) and not isinstance(one, complex)  # real q: [n] in complex arithmetic
-    if widen or ctx.mode == "exact":  # exact tables keep no [n]: Fractions for this call
-        one = one + 0j if widen else one
-        qints = [one * 0] + [(1 - qn) / (1 - q) for qn in _q_powers(q, N, one)[1:]]
-    else:
-        qints = tables.qints
-    zero = value = one * 0
-    tail = 0.0
-    tpow = _q_powers(t, N, one)
-    for word, coeff in e.terms.items():
-        c = coeff.evaluate(hval)
-        if not word:
-            value = value + c
-            continue
-        u, table = word[0], tables.table(word[1:])
-        acc = zero
-        for n in range(1, N):
-            outer = tpow[n] / qints[n] if u == XI else tpow[n] / qints[n] ** u
-            acc = acc + outer * table[n]
-        value = value + c * acc
-        tail += float(abs(c)) * tables.tail(abs(t), len(word))
     certified = ctx.certified and not isinstance(t, complex) and 0 < t < 1
-    return EvalResult(value, tail, certified)
+    return EvalResult(*_word_sum(e, ctx, tables, abs(t), t), certified)
 
 
 @dataclass(frozen=True)
