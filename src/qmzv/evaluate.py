@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb
+from operator import mul
 
 from .errors import DomainError
 from .products import delta0, delta1
@@ -106,12 +108,7 @@ def binom_tail(x, start, r):
 
 
 def _q_powers(q, N, one):
-    out = [one] * (N + 1)
-    acc = one
-    for n in range(1, N + 1):
-        acc = acc * q
-        out[n] = acc
-    return out
+    return list(accumulate(repeat(q, N), mul, initial=one))  # one, one*q, (one*q)*q, ...
 
 
 def _letter(u, qn, qint, q):
@@ -168,11 +165,8 @@ class _Tables:
             u = word[j]
             if u not in self.letters:  # I_u(n) for n = 0..N-1, index 0 unused
                 self.letters[u] = self._series(u)
-            ivals, cur, acc = self.letters[u], [self.zero] * (self.N + 1), self.zero
-            for m in range(1, self.N + 1):
-                acc = acc + ivals[m - 1] * vals[m - 1]
-                cur[m] = acc
-            self.tables[word[j:]] = vals = cur
+            # F_uw(0) = 0, then F_uw(m) = F_uw(m-1) + I_u(m-1) F_w(m-1) for m = 1..N in turn
+            self.tables[word[j:]] = vals = list(accumulate(map(mul, self.letters[u], vals[: self.N]), initial=self.zero))
         return vals
 
     def _series(self, u):
