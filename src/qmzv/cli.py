@@ -50,25 +50,27 @@ def _t_arg(text):
     return t
 
 
+def _checked(convert, text, ok, message):
+    """convert(text) if that parses and ok accepts it; otherwise a usage error with message."""
+    try:
+        value = convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if not ok(value):
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 def _n_arg(text):
-    n = int(text)
-    if n < 10:
-        raise argparse.ArgumentTypeError("N must be >= 10")
-    return n
+    return _checked(int, text, lambda n: n >= 10, "N must be an integer >= 10")
 
 
 def _tol_arg(text):
-    tol = float(text)
-    if not tol > 0:
-        raise argparse.ArgumentTypeError("tol must be > 0")
-    return tol
+    return _checked(float, text, lambda tol: tol > 0, "tol must be a number > 0")
 
 
 def _weight_arg(text):
-    w = int(text)
-    if not 2 <= w <= 8:
-        raise argparse.ArgumentTypeError("weight must be between 2 and 8")
-    return w
+    return _checked(int, text, lambda w: 2 <= w <= 8, "weight must be an integer between 2 and 8")
 
 
 def _add_output(sp):

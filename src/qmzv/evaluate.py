@@ -57,6 +57,8 @@ class QContext:
                 raise ValueError("need 0 < |q| < 1")
             if self.mode == "exact" and not isinstance(self.q, (int, Fraction)):
                 raise ValueError("exact mode needs rational q")
+        if not isinstance(self.N, int) or isinstance(self.N, bool):
+            raise TypeError("truncation bound N must be an int")
         if self.N < 2:
             raise ValueError("truncation bound N too small")
         if self.tol <= 0:
@@ -87,16 +89,16 @@ class EvalResult:
 
 
 def binom_tail(x, start, r):
-    """Upper bound for sum_{n >= start} C(n-1, r-1) x^n with 0 < x < 1.
+    """Upper bound for sum_{n >= start} C(n-1, r-1) x^n with 0 <= x < 1.
 
     The term ratio x*n/(n-r+1) decreases in n; past an explicit M it stays
     below (1+x)/2, so the remainder is summed exactly up to M and capped by
     a geometric series after it.
     """
-    if r <= 0:
-        return 0.0
     x = float(x)
-    if x <= 0.0:
+    if not 0.0 <= x < 1.0:
+        raise ValueError("binom_tail needs 0 <= x < 1")
+    if r <= 0 or x == 0.0:
         return 0.0
     rho = (1.0 + x) / 2.0
     m_start = max(start, r, int(rho * (r - 1) / (rho - x)) + 1)
@@ -290,6 +292,8 @@ def f_word_table(word, N, ctx):
 
     F_1(n) = 1 and F_{uw}(n) = F_{uw}(n-1) + I_u(n-1) F_w(n-1); cost O(len(word)*N).
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     return _new_tables(N, ctx).table(tuple(word))
 
 
@@ -375,6 +379,8 @@ def dq_check(e, t, ctx):
     For e = xi r^r w with w z-leading: D_q L_e(t) equals
     ((1-q) t)^r / (1-t)^(r+1) times L_{delta1(w)}(t). Mixed shapes error.
     """
+    if not 0 < abs(t) < 1:
+        raise DomainError("dq_check needs 0 < |t| < 1")
     part2, buckets = decompose_h0hat(e)
     q = ctx.q_value
     if ctx.mode == "exact":

@@ -245,6 +245,13 @@ def test_verify_rejects_malformed_file(tmp_path):
 
 
 def test_usage_error_exits_2():
-    _run("relations", expect=2)
-    _run("nonsense", expect=2)
-    _run("relations", "--weight", "9", expect=2)
+    for argv in (
+        ("relations",),
+        ("nonsense",),
+        ("relations", "--weight", "9"),
+        ("relations", "--weight", "x"),
+        ("eval", "z2", "--N", "3.5"),
+        ("eval", "z2", "--tol", "abc"),
+    ):
+        proc = _run(*argv, expect=2)
+        assert "_arg" not in proc.stderr, (argv, proc.stderr)

@@ -54,6 +54,9 @@ def test_context_validation():
         QContext(q=0.5, mode="exact")
     with pytest.raises(ValueError):
         QContext(q=Fraction(1, 2), mode="nope")
+    for N in (300.0, True, "300"):
+        with pytest.raises(TypeError):
+            QContext(q=Fraction(1, 2), N=N)
 
 
 def test_certification_flag():
@@ -90,6 +93,9 @@ def test_f_word_exact_small():
     table = f_word_table((2,), 3, ctx)
     assert table[1] == 0 and table[2] == Fraction(1, 2)
     assert f_word((), 3, ctx) == 1
+    assert f_word_table((2,), 0, ctx) == f_word_table((2,), 0, QContext(q=Fraction(1, 2))) == [0]
+    with pytest.raises(ValueError):
+        f_word_table((2,), -3, ctx)
 
 
 def test_z_q_brute_force_oracle():
@@ -149,6 +155,14 @@ def test_binom_tail_is_a_bound_and_not_absurdly_loose():
         assert true <= bound
         assert bound <= 10 * true
     assert binom_tail(0.5, 10, 0) == 0.0
+
+
+def test_binom_tail_needs_x_in_0_1():
+    assert binom_tail(0.0, 10, 2) == binom_tail(Fraction(0), 1, 1) == 0.0
+    # 1.5 once gave -2075.9, 1.0 a ZeroDivisionError and -0.5 a tail of 0.0 (the true tail is 1/6)
+    for x, start, r in ((1.5, 10, 2), (1.0, 10, 2), (-0.5, 2, 1), (Fraction(-1, 2), 2, 1), (math.nan, 10, 2)):
+        with pytest.raises(ValueError):
+            binom_tail(x, start, r)
 
 
 def test_binomial_expansion_partial_sums_within_tail():
@@ -225,6 +239,10 @@ def test_dq_check_forms():
     mixed = E((2,)) + E((XI, XI))
     with pytest.raises(DomainError):
         dq_check(mixed, t, ctx)
+    for dq_ctx in (ctx, QContext(q=Fraction(1, 2), N=30, mode="exact")):
+        for t in (0, 0.0, Fraction(0), 1, Fraction(-3, 2)):
+            with pytest.raises(DomainError, match=r"0 < \|t\| < 1"):
+                dq_check(E((2, 1)), t, dq_ctx)
 
 
 def test_complex_q_evaluation_runs():
@@ -287,6 +305,15 @@ def test_a_shared_suffix_memo_gives_the_fresh_per_word_values(rng):
             assert zbar_q(g, ctx, tables) == EvalResult(fresh.value * scale, fresh.tail_bound * float(abs(scale)), ctx.certified)
 
 
+def test_equal_t_of_two_types_keep_apart_in_one_memo():
+    ctx = QContext(q=Fraction(2, 5), N=80)
+    tables = _suffix_tables(ctx)
+    e = E((4, 2))  # at t = 0.7 the float and the complex sum differ in the last bit
+    assert isinstance(l_value(e, 0.7, ctx, tables).value, float)
+    shared = l_value(e, 0.7 + 0j, ctx, tables)
+    assert isinstance(shared.value, complex) and shared == l_value(e, 0.7 + 0j, ctx)
+
+
 def test_a_suffix_memo_refuses_another_q_n_or_mode():
     ctx = QContext(q=Fraction(1, 2), N=50)
     tables = _suffix_tables(ctx)
@@ -326,11 +353,13 @@ def test_exact_values_match_the_recorded_digests():
 
 # sha256 over one line per L-value and q-difference check of this float and
 # complex grid (value type, repr of value and tail, certified flag), recorded
-# before L-values read their outer sum from the suffix tables
-L_GRID_QS = (Fraction(1, 2), Fraction(3, 4), 0.3 + 0.2j)
-L_GRID_TS = (Fraction(3, 10), Fraction(-1, 5), 0.6, 0.2 + 0.1j)
-L_GRID_ELEMENTS = ("1", "z2", "2 - h*z2", "xi z2", "z3 z2 - 3/2*h*xi z2", "xi xi + h*z2 z2")
-L_GRID_DIGEST = "528b9ba4c02bfda33999fc73f4ceed612a2812dfa1a463d989ac3c31b5986202"
+# before L-values read their outer sum from the suffix tables. At q = 2/5 and
+# t = -0.5+0.6j, [n]^k in complex arithmetic differs from the float power in
+# bits the sums keep, so the grid sees whether complex t widens [n].
+L_GRID_QS = (Fraction(1, 2), Fraction(3, 4), Fraction(2, 5), 0.3 + 0.2j)
+L_GRID_TS = (Fraction(3, 10), Fraction(-1, 5), 0.6, 0.2 + 0.1j, -0.5 + 0.6j)
+L_GRID_ELEMENTS = ("1", "z2", "2 - h*z2", "xi z2", "z3 z2 - 3/2*h*xi z2", "xi xi + h*z2 z2", "z4 z2", "z6")
+L_GRID_DIGEST = "2fa1c50386bd77d0e3a80f93ce30436b619fae911e777c50f946bafed0bf9790"
 
 
 def test_float_and_complex_l_values_match_the_recorded_digest():
@@ -425,10 +454,12 @@ def test_exact_tables_equal_plain_fraction_tables_at_every_n(rng):
                 assert z_q(E(word), ctx, tables).value == plain[N] == z_q(E(word), ctx).value, (q, N, word)
         with pytest.raises(ValueError):
             tables.table((-2, 3, 2))
-        t = Fraction(rng.randint(1, 9), 10)
+        # a negative t whose denominator shares the factors of q's, as q = 2/5, t = -3/25
+        b = q.denominator
         e = E((4, XI, 3, 2)) - parse_element("3/2*h*z3 z2 + xi z2")
-        assert l_value(e, t, ctx, tables) == l_value(e, t, ctx)
-        assert l_value(e, t, ctx, tables).value == _plain_l(e, t, q, N), (q, N)
+        for t in (Fraction(rng.randint(1, 9), 10), Fraction(-rng.randint(1, b * b - 1), b * b)):
+            assert l_value(e, t, ctx, tables) == l_value(e, t, ctx)
+            assert l_value(e, t, ctx, tables).value == _plain_l(e, t, q, N), (q, N, t)
 
 
 @pytest.mark.parametrize("q", KERNEL_QS)
