@@ -302,6 +302,23 @@ def f_word(w, N, ctx):
     return f_word_table(w, N, ctx)[N]
 
 
+def _word_sum(e, ctx, tables, t=None):
+    """(value, tail bound) of Z_q(e), or of L_e(t) when t is given: one table read and one binom_tail per word."""
+    tables = _suffix_tables(ctx, tables)
+    hval = 1 - ctx.q_value
+    x = abs(ctx.q_value if t is None else t)
+    value = tables.zero + 0j if isinstance(t, complex) else tables.zero  # complex t at real q: a complex sum
+    tail = 0.0
+    for word, coeff in e.terms.items():
+        c = coeff.evaluate(hval)
+        if not word:
+            value = value + c
+            continue
+        value = value + c * tables.value(word if t is None else ((word[0], type(t), t),) + word[1:])
+        tail += float(abs(c)) * tables.tail(x, len(word))
+    return value, tail
+
+
 def z_q(e, ctx, tables=None):
     """Truncated evaluation of Z_q on an element of the admissible span.
 
@@ -313,23 +330,7 @@ def z_q(e, ctx, tables=None):
     """
     if not membership(e, "H0hat"):
         raise DomainError("z_q needs an element of the admissible span")
-    return EvalResult(*_word_sum(e, ctx, tables, abs(ctx.q_value)), ctx.certified)
-
-
-def _word_sum(e, ctx, tables, x, t=None):
-    """(value, tail bound) of Z_q(e), or of L_e(t) when t is given: one table read and one binom_tail(x, N, r) per word."""
-    tables = _suffix_tables(ctx, tables)
-    hval = 1 - ctx.q_value
-    value = tables.zero + 0j if isinstance(t, complex) else tables.zero  # complex t at real q: a complex sum
-    tail = 0.0
-    for word, coeff in e.terms.items():
-        c = coeff.evaluate(hval)
-        if not word:
-            value = value + c
-            continue
-        value = value + c * tables.value(word if t is None else ((word[0], type(t), t),) + word[1:])
-        tail += float(abs(c)) * tables.tail(x, len(word))
-    return value, tail
+    return EvalResult(*_word_sum(e, ctx, tables), ctx.certified)
 
 
 def zbar_q(e, ctx, tables=None):
@@ -358,7 +359,7 @@ def l_value(e, t, ctx, tables=None):
     elif not isinstance(t, complex):
         t = float(t)
     certified = ctx.certified and not isinstance(t, complex) and 0 < t < 1
-    return EvalResult(*_word_sum(e, ctx, tables, abs(t), t), certified)
+    return EvalResult(*_word_sum(e, ctx, tables, t), certified)
 
 
 @dataclass(frozen=True)
