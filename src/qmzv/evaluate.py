@@ -212,7 +212,7 @@ class _ExactTables(_Tables):
 
     def __init__(self, N, ctx):
         self.N, self.key = N, _memo_key(ctx, N)
-        self.one, self.zero = Fraction(1), Fraction(0)
+        self.zero = Fraction(0)
         self.a, self.b = ctx.q_value.numerator, ctx.q_value.denominator
         self.c = [self.b**n - self.a**n for n in range(N + 1)]
         self.powers, self.tables, self.tails = {}, {(): ([1] * (N + 1), 0, 1)}, {}
