@@ -1,25 +1,30 @@
 """The three products (harmonic, integral shuffle, star) and the maps
 delta0, delta1, i0, i1, e, e_inv, phi_k that tie them together.
 
-Conventions: the harmonic and star products act on A-basis elements, the
-integral shuffle on x/y/r elements with an A-basis wrapper that expands,
-shuffles and contracts. Harmonic and shuffle are one quasi-shuffle word
-recursion with different letter corrections (circle, ALPHA_TABLE); star
-is the shuffle transported through e, star(a, b) = e_inv(e(a) sh e(b)).
-The products accept an optional cache dict keyed by word pairs: A-word
-pairs for harmonic, x/y/r word pairs for shuffle and star. Passing one
-across calls of the same product is safe because its entries are
-input-determined and never changed once stored.
+Conventions: harmonic, shuffle and star act on A-basis elements, shuffle_x
+is the integral shuffle on x/y/r elements, where it is defined. All of them
+run one memoised quasi-shuffle word recursion, given a rule: the letter
+correction (circle for harmonic, ALPHA_TABLE for the shuffles), how a word
+splits off its first letter, and how a letter is written back in front.
+Harmonic and shuffle_x split off the word's own first letter. Shuffle
+splits an A-word into x/y/r letters (xi = y - r, z_k = x^(k-1) y) and
+contracts each prefix at once (r = z_1 - xi), so it equals
+contract_to_a(shuffle_x(expand_to_x(a), expand_to_x(b))) without leaving
+the A-basis. Star is the shuffle transported through e,
+star(a, b) = e_inv(e(a) sh e(b)). The products accept an optional cache
+dict, one per product, keyed by word pairs: A-word pairs for harmonic,
+shuffle and star, x/y/r word pairs for shuffle_x. Passing one across calls
+of the same product is safe because its entries are input-determined and
+never changed once stored.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import comb
 
 from .errors import DomainError
 from .hpoly import H, HPoly, ONE, h_power
-from .words import XI, Element, _accumulate, _collect, _raw, contract_to_a, expand_to_x, membership, word_degree
+from .words import _RHO_EXPANSION, XI, Element, _accumulate, _collect, _raw, membership, word_degree
 
 
 def _neg_h_power(j):
@@ -38,39 +43,83 @@ def _integer_terms(e, degree):
     return out
 
 
-def _bilinear(e1, e2, correction, cache):
+def _bilinear(e1, e2, rule, cache):
     """Bilinear extension of the quasi-shuffle word product to two elements, with HPoly coefficients."""
     out = {}
     for w1, c1 in e1.terms.items():
         for w2, c2 in e2.terms.items():
             c, top = (c1 * c2).coeffs, word_degree(w1) + word_degree(w2)
-            for w, n in _quasi_shuffle_words(w1, w2, correction, cache).items():
+            for w, n in _quasi_shuffle_words(w1, w2, rule, cache).items():
                 acc, j = out.setdefault(w, {}), top - word_degree(w)
                 for i, x in enumerate(c):
                     acc[i + j] = acc.get(i + j, 0) + n * x
     return Element({w: HPoly([acc.get(i, 0) for i in range(max(acc) + 1)]) for w, acc in out.items()})
 
 
-def _quasi_shuffle_words(w1, w2, correction, cache):
+def _quasi_shuffle_words(w1, w2, rule, cache):
     """uw * vw' = u(w * vw') + v(uw * w') + correction(u, v)(w * w'), memoised in cache.
 
+    rule = (correction, split, prefix): split(w) gives the (u, rest, sign) with
+    w = sum of sign u rest, and prefix(c, m, terms) is m c t for the terms t.
     The product is homogeneous: {word: n} stands for the sum of n h^(deg w1 + deg w2 - deg word)
-    word, as in _integer_terms. Tuple A-words and str x/y/r words alike; a cache serves one correction.
+    word, as in _integer_terms. Tuple A-words and str x/y/r words alike; a cache serves one rule.
     """
     if not w1 or not w2:
         return {w1 + w2: 1}
     key = (w1, w2) if w1 <= w2 else (w2, w1)
     got = cache.get(key)
     if got is None:
-        u, v, t1, t2 = w1[:1], w2[:1], w1[1:], w2[1:]
-        terms = _integer_terms(correction(w1[0], w2[0]), word_degree(u) + word_degree(v))
-        tail = _quasi_shuffle_words(t1, t2, correction, cache)
-        got = cache[key] = _collect(chain(
-            ((u + w, n) for w, n in _quasi_shuffle_words(t1, w2, correction, cache).items()),
-            ((v + w, n) for w, n in _quasi_shuffle_words(w1, t2, correction, cache).items()),
-            ((c + w, m * n) for c, m in terms for w, n in tail.items()),
-        ))
+        correction, split, prefix = rule
+        s1, s2 = split(w1), split(w2)
+        terms = []
+        for u, t1, s in s1:
+            terms += prefix(u, s, _quasi_shuffle_words(t1, w2, rule, cache))
+        for v, t2, t in s2:
+            terms += prefix(v, t, _quasi_shuffle_words(w1, t2, rule, cache))
+        for u, t1, s in s1:
+            for v, t2, t in s2:
+                for c, m in _integer_terms(correction(u[0], v[0]), word_degree(u) + word_degree(v)):
+                    terms += prefix(c, s * t * m, _quasi_shuffle_words(t1, t2, rule, cache))
+        got = cache[key] = _collect(terms)
     return got
+
+
+def _first_letter(w):
+    """The split of a word into its own first letter and the rest."""
+    return ((w[:1], w[1:], 1),)
+
+
+def _concatenated(c, m, terms):
+    """m c t for each term t of {word: n}, by concatenation."""
+    return [(c + w, m * n) for w, n in terms.items()]
+
+
+def _xyr_split(w):
+    """The split of an A-word into x/y/r letters: z_k u = x z_(k-1)u (k >= 2), z_1 u = y u, xi u = y u - r u."""
+    k, rest = w[0], w[1:]
+    if k >= 2:
+        return (("x", (k - 1,) + rest, 1),)
+    if k == 1:
+        return (("y", rest, 1),)
+    return (("y", rest, 1), ("r", rest, -1))
+
+
+def _contracted(c, m, terms):
+    """m c t for each term t of {A-word: n} and an x/y/r word c, contracted letter by letter from the right.
+
+    y t = z_1 t and r t = z_1 t - xi t; x raises the first letter (xi, z_k -> z_2, z_(k+1)) and
+    sends 1 to 0. This contraction is 0 on every x/y/r word that does not split into blocks
+    x^(k-1)y and r (x r t, a trailing x); a shuffle of two expanded A-words has no such term.
+    """
+    out = [(w, m * n) for w, n in terms.items()]
+    for letter in reversed(c):
+        if letter == "y":
+            out = [((1,) + w, n) for w, n in out]
+        elif letter == "r":
+            out = [(v + w, s * n) for w, n in out for v, s in _RHO_EXPANSION]
+        else:
+            out = [((w[0] + 1 if w[0] else 2,) + w[1:], n) for w, n in out if w]
+    return out
 
 
 def circle(a, b):
@@ -90,7 +139,7 @@ def circle(a, b):
 
 def harmonic(e1, e2, cache=None):
     """The quasi-shuffle product on A-elements with correction circle, bilinear with unit 1."""
-    return _bilinear(e1, e2, circle, {} if cache is None else cache)
+    return _bilinear(e1, e2, _HARMONIC, {} if cache is None else cache)
 
 
 # Correction table for the shuffle recursion; symmetric by construction.
@@ -111,18 +160,28 @@ def _alpha(u, v):
     return ALPHA_TABLE[u, v]
 
 
+_HARMONIC = (circle, _first_letter, _concatenated)
+_SHUFFLE_X = (_alpha, _first_letter, _concatenated)
+_SHUFFLE = (_alpha, _xyr_split, _contracted)
+
+
 def shuffle_x(e1, e2, cache=None):
     """The integral shuffle product on x/y/r elements.
 
     Defined by the letter recursion
     uw sh vw' = u(w sh vw') + v(uw sh w') + alpha(u,v)(w sh w').
     """
-    return _bilinear(e1, e2, _alpha, {} if cache is None else cache)
+    return _bilinear(e1, e2, _SHUFFLE_X, {} if cache is None else cache)
 
 
 def shuffle(e1, e2, cache=None):
-    """The integral shuffle on A-elements: expand, shuffle over x/y/r, contract."""
-    return contract_to_a(shuffle_x(expand_to_x(e1), expand_to_x(e2), cache))
+    """The integral shuffle on A-elements, contract_to_a(shuffle_x(expand_to_x(e1), expand_to_x(e2))).
+
+    Runs the shuffle_x recursion on A-words: each word splits into its first
+    x/y/r letter, and each prefix is contracted at once (_contracted). cache
+    holds A-word pairs.
+    """
+    return _bilinear(e1, e2, _SHUFFLE, {} if cache is None else cache)
 
 
 def delta0(e):
@@ -241,7 +300,8 @@ def star(e1, e2, cache=None):
     """The star product on the admissible span, transported from the shuffle.
 
     Both inputs must lie in the span of constants and admissible-start
-    words. Satisfies e_map(star(a, b)) = shuffle(e_map(a), e_map(b)).
+    words. Satisfies e_map(star(a, b)) = shuffle(e_map(a), e_map(b)); cache
+    is the shuffle's, of A-word pairs.
     """
     for e in (e1, e2):
         if not membership(e, "H0hat"):

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import DomainError, InternalError, NotAdmissible, NotHomogeneous
-from .words import XI, Element, _collect, a_words_of_degree, contract_word, expand_word, index_from_text, index_to_text
+from .words import XI, Element, _collect, a_words_of_degree, index_from_text, index_to_text
 from .words import is_admissible_index, is_admissible_start, word_degree, word_in_space, word_to_index
-from .products import _alpha, _quasi_shuffle_words, circle, harmonic, phi  # noqa: F401 (harmonic: a binding callers use)
+from .products import _HARMONIC, _SHUFFLE, _quasi_shuffle_words, harmonic, phi  # noqa: F401 (harmonic: a binding callers use)
 from .evaluate import _suffix_tables, zbar_q
 
 
@@ -89,22 +89,15 @@ def gen_double_shuffle(d, caches=None):
 
 def _shuffle_pairs(d, caches):
     """w * w' - w sh w' as rows over unordered pairs of admissible-start words of degree sum d."""
-    hc, sc, contracted = (caches.setdefault(k, {}) for k in ("harmonic", "shuffle", "contract"))
+    hc, sc = (caches.setdefault(k, {}) for k in ("harmonic", "shuffle"))
     out = []
     for m1 in range(1, d // 2 + 1):
         words1 = list(a_words_of_degree(m1, admissible_only=True))
         words2 = list(a_words_of_degree(d - m1, admissible_only=True))
         for i1, w1 in enumerate(words1):
             for w2 in words2[i1 if 2 * m1 == d else 0 :]:
-                sh = _collect(
-                    (w, s1 * s2 * n)
-                    for x1, s1 in expand_word(w1)
-                    for x2, s2 in expand_word(w2)
-                    for w, n in _quasi_shuffle_words(x1, x2, _alpha, sc).items()
-                )
-                contracted.update((x, tuple(contract_word(x))) for x in sh.keys() - contracted.keys())
-                minus = ((w, -s * n) for x, n in sh.items() for w, s in contracted[x])
-                if row := _collect(chain(_quasi_shuffle_words(w1, w2, circle, hc).items(), minus)):
+                minus = ((w, -n) for w, n in _quasi_shuffle_words(w1, w2, _SHUFFLE, sc).items())
+                if row := _collect(chain(_quasi_shuffle_words(w1, w2, _HARMONIC, hc).items(), minus)):
                     out.append(row)
     return out
 
@@ -295,7 +288,10 @@ def _int_echelon(int_rows, ncols):
        is never higher, and no pivot column earlier, than over Q, and a
        prime that matches both gives the RREF over Q mod p; so the primes
        with the largest rank, then the lexicographically smallest pivot
-       columns, are kept;
+       columns, are kept. A later prime reduces only the input rows of the
+       best prime's pivots (modular.rref_mod), which span every row when
+       that prime matches, unless its pivots there differ from the best or
+       the certificate before it failed; then it reduces every row;
     2. CRT and balanced rational reconstruction over the kept primes;
     3. certify: every row is checked, in exact integers, to lie in the span
        of the reconstructed rows (_in_span).
@@ -306,10 +302,12 @@ def _int_echelon(int_rows, ncols):
     zero before their pivots and an identity on the pivot columns, are its
     canonical RREF. A failed reconstruction or certificate adds a prime.
     Primes that miss the rank or the pivots all divide one nonzero minor,
-    at most H, the Hadamard bound; so once the kept primes' product
-    exceeds 2 H^2 (modular.hadamard_limit) they match, and reconstruction
-    is exact. A failure past that bound is a defect and raises
-    InternalError.
+    at most H, the Hadamard bound; so once the product of the kept primes
+    that reduced every row exceeds 2 H^2 (modular.hadamard_limit) they
+    match. Then a kept prime that reduced only the pivot rows found the
+    full rank in them, so they span every row and it matches too, and
+    reconstruction is exact. A failure past that bound is a defect and
+    raises InternalError.
     """
     if len(int_rows) <= ncols:
         return _insertion_echelon(int_rows, ncols)
@@ -322,20 +320,26 @@ def _int_echelon(int_rows, ncols):
     int_rows = list(unique.values())
     a = modular.integer_matrix(int_rows, ncols)
     limit = modular.hadamard_limit(a)
-    best, kept = None, []
+    # rows: the input rows of the best prime's pivots; whole: the product of the kept primes that reduced every row
+    best, kept, rows, whole, retry = None, [], None, 1, True
     for p in modular.primes():
-        cols, residues = modular.rref_mod(a, p)
-        key = (-len(cols), cols)
-        if best is not None and key > best:
-            continue
-        if key != best:
-            best, kept = key, []
+        if not retry:
+            cols, residues, _ = modular.rref_mod(a[rows], p)
+        if retry or (-len(cols), cols) != best:
+            cols, residues, found = modular.rref_mod(a, p)
+            retry, key = False, (-len(cols), cols)
+            if best is not None and key > best:
+                continue
+            if key != best:
+                best, kept, rows, whole = key, [], found, 1
+            whole *= p
         kept.append((p, residues))
         pivots = modular.reconstruct(cols, kept, ncols)
         if pivots is not None and _in_span(int_rows, *_reduced_tails(pivots, ncols)):
             return pivots
-        if prod(q for q, _ in kept) > limit:
+        if whole > limit:
             raise InternalError("multimodular RREF failed its certificate with %d primes past the Hadamard bound" % len(kept))
+        retry = pivots is not None  # a failed certificate: the next prime reduces every row
 
 
 def _to_int_row(frac_row):

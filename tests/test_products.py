@@ -149,6 +149,28 @@ def test_shuffle_closure_on_admissible_span():
         assert membership(shuffle(a, b), "H0hat")
 
 
+def _defining_shuffle(a, b):
+    return contract_to_a(shuffle_x(expand_to_x(a), expand_to_x(b)))
+
+
+def test_shuffle_on_a_words_equals_the_x_y_r_shuffle_on_all_word_pairs_up_to_degree_7():
+    # any first letter, z1 and xi included; one shared cache for each route
+    words = [w for m in range(1, 7) for w in a_words_of_degree(m)]
+    pairs = [(a, b) for i, a in enumerate(words) for b in words[i:] if word_degree(a) + word_degree(b) <= 7]
+    assert len(pairs) == 1979
+    cache, x_cache = {}, {}
+    for a, b in pairs:
+        want = contract_to_a(shuffle_x(expand_to_x(E(a)), expand_to_x(E(b)), x_cache))
+        assert shuffle(E(a), E(b), cache) == want, (a, b)
+    assert all(type(w1) is tuple and type(w2) is tuple for w1, w2 in cache)
+
+
+@property_examples(40)
+def test_shuffle_on_a_words_equals_the_x_y_r_shuffle_on_rational_elements(rng):
+    a, b = rational_element(rng, 3, 3), rational_element(rng, 3, 2)
+    assert shuffle(a, b) == _defining_shuffle(a, b)
+
+
 def test_delta0_examples():
     assert delta0(E((2,))) == E((XI,))
     assert delta0(E((5, 2))) == E((4, 2))
