@@ -140,13 +140,17 @@ def _pivot_rows(b, cols, p):
 
 
 def rref_mod(a, p):
-    """The RREF of an integer matrix mod p: (pivot columns, their rows as float64 residues).
+    """The RREF of an integer matrix mod p: (pivot columns, their rows as float64 residues, input rows).
+
+    The input rows are the rows of a in which the pivots were found, one per
+    pivot; mod p they span the row space of a, so they alone have the same RREF.
 
     Blocked Gauss-Jordan over panels of _PANEL columns. A panel's pivots are
     found among the rows that are no pivot yet. Their block X in the pivot
     columns has unit leading minors, since each pivot was found after the
     ones before it, so those rows reduce to X^-1 times themselves, and one
     matrix product clears the panel's pivot columns in every other row.
+    Each row stays its input row plus a combination of earlier pivot rows.
     """
     a = _reduce((a % p).astype(np.float64), p)
     free = np.arange(a.shape[0])
@@ -169,7 +173,7 @@ def rref_mod(a, p):
         free = np.setdiff1d(free, prow, assume_unique=True)
         if not free.size:
             break
-    return cols, a[rows]
+    return cols, a[rows], rows
 
 
 def _rational(u, m, bound):

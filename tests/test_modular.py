@@ -36,12 +36,16 @@ def _planted(rng, nrows, ncols, rank, bits):
 
 
 def _assert_matches_reference(rows, ncols, p):
-    cols, residues = modular.rref_mod(np.array(rows, dtype=np.int64).reshape(len(rows), ncols), p)
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    cols, residues, inputs = modular.rref_mod(a, p)
     want_cols, want_rows = _gauss_jordan(rows, ncols, p)
     assert cols == want_cols
     assert residues.shape == (len(want_cols), ncols)
     assert np.all(np.abs(residues) <= p // 2 + 1)
     assert (residues.astype(np.int64) % p).tolist() == want_rows
+    # one input row per pivot, and those rows alone have the same RREF mod p
+    assert len(set(inputs)) == len(cols)
+    assert _gauss_jordan(a[inputs].tolist(), ncols, p) == (want_cols, want_rows)
 
 
 def test_rref_mod_equals_unblocked_gauss_jordan():

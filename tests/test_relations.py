@@ -201,6 +201,57 @@ def test_int_echelon_adds_primes_on_large_entries(monkeypatch):
     assert max(abs(x).bit_length() for row in got.values() for x in row) > 250
 
 
+def _recording_rref_mod(monkeypatch):
+    """Record (prime, row count, pivot columns) of every modular.rref_mod call."""
+    calls = []
+    rref_mod = modular.rref_mod
+
+    def recorded(a, p):
+        got = rref_mod(a, p)
+        calls.append((p, len(a), got[0]))
+        return got
+
+    monkeypatch.setattr(modular, "rref_mod", recorded)
+    return calls
+
+
+def test_later_primes_reduce_only_the_pivot_rows(monkeypatch):
+    rng = random.Random(61)
+    basis = [[rng.randint(-(2**100), 2**100) for _ in range(5)] for _ in range(3)]
+    combos = ((1, -2, 3), (2, 0, 1), (0, 1, -1), (3, 3, 1))
+    rows = basis + [[sum(c * r[j] for c, r in zip(cs, basis)) for j in range(5)] for cs in combos]
+    calls = _recording_rref_mod(monkeypatch)
+    assert _int_echelon(_sparse(rows), 5) == _primitive_rref(rows)
+    sizes = [n for _, n, _ in calls]
+    assert sizes[:2] == [7, 3] and sizes.count(3) > 10
+
+
+def test_a_prime_whose_pivot_rows_lose_a_pivot_reduces_every_row(monkeypatch):
+    # mod the second prime q the first prime's pivot rows (the first two) move
+    # their second pivot to column 2, and so do all rows: q is skipped
+    first, q = itertools.islice(modular.primes(), 2)
+    b1, b2 = [1, 0, 3**20], [0, q, 5**15]
+    rows = [b1, b2, [x + y for x, y in zip(b1, b2)], [2 * x for x in b1]]
+    calls = _recording_rref_mod(monkeypatch)
+    assert _int_echelon(_sparse(rows), 3) == _primitive_rref(rows)
+    assert calls[:3] == [(first, 4, [0, 1]), (q, 2, [0, 2]), (q, 4, [0, 2])]
+
+
+def test_after_a_failed_certificate_the_next_prime_reduces_every_row(monkeypatch):
+    # rank 1 mod the first prime, rank 2 over Q: the later primes agree on the
+    # first prime's pivot row alone until its entries are reconstructed and the
+    # certificate fails; the next prime, reducing every row, finds the rank
+    first = next(modular.primes())
+    r0 = [1, 0] + [3**38 + k for k in range(10)]
+    rows = [r0, [1, first] + r0[2:]] + [[k * x for x in r0] for k in range(2, 13)]
+    calls = _recording_rref_mod(monkeypatch)
+    assert _int_echelon(_sparse(rows), 12) == _primitive_rref(rows)
+    sizes = [n for _, n, _ in calls]
+    narrow = sizes.index(13, 1) - 1
+    assert narrow > 1 and sizes[: narrow + 1] == [13] + [1] * narrow
+    assert calls[0][2] == [0] and calls[narrow + 1][2] == [0, 1]
+
+
 def test_a_failing_certificate_stops_at_the_hadamard_bound(monkeypatch):
     gens = gen_double_shuffle(4) + gen_resummation(4)
     seen = []
