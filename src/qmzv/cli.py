@@ -30,35 +30,23 @@ from .relations import (
 PRODUCTS = {"harmonic": harmonic, "shuffle": shuffle, "star": star}
 
 
-def _q_arg(text):
-    try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("q must be a rational like 1/2")
-    if not 0 < q < 1:
-        raise argparse.ArgumentTypeError("q must satisfy 0 < q < 1")
-    return q
-
-
-def _t_arg(text):
-    try:
-        t = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("t must be a rational like 3/10")
-    if not abs(t) < 1:
-        raise argparse.ArgumentTypeError("t must satisfy |t| < 1")
-    return t
-
-
 def _checked(convert, text, ok, message):
     """convert(text) if that parses and ok accepts it; otherwise a usage error with message."""
     try:
         value = convert(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(message) from None
     if not ok(value):
         raise argparse.ArgumentTypeError(message)
     return value
+
+
+def _q_arg(text):
+    return _checked(Fraction, text, lambda q: 0 < q < 1, "q must be a rational with 0 < q < 1")
+
+
+def _t_arg(text):
+    return _checked(Fraction, text, lambda t: abs(t) < 1, "t must be a rational with |t| < 1")
 
 
 def _n_arg(text):

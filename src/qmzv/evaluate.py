@@ -155,7 +155,7 @@ class _Tables:
         zero = self.zero = one * 0
         self.qpow = _q_powers(q, N, one)
         self.qints = [zero] + [(1 - self.qpow[n]) / (1 - q) for n in range(1, N + 1)]
-        self.letters, self.tables, self.tails = {}, {(): [one] * (N + 1)}, {}
+        self.letters, self.outer, self.tables, self.tails = {}, {}, {(): [one] * (N + 1)}, {}
 
     def table(self, word):
         """F_word(n) for n = 0..N; the list is shared, not to be changed."""
@@ -176,11 +176,13 @@ class _Tables:
         if not isinstance(u, tuple):
             return [0] + [_letter(u, self.qpow[n], self.qints[n], self.q) for n in range(1, self.N)]
         u, _, t = u
-        one, qints = self.one, self.qints
-        if isinstance(t, complex) and not isinstance(one, complex):
-            one = one + 0j
-            qints = [0] + [(1 - qn) / (1 - self.q) for qn in _q_powers(self.q, self.N, one)[1:]]
-        tpow = _q_powers(t, self.N, one)
+        if (type(t), t) not in self.outer:  # t^n and [n], built once per t for all its letters
+            one, qints = self.one, self.qints
+            if isinstance(t, complex) and not isinstance(one, complex):
+                one = one + 0j
+                qints = [0] + [(1 - qn) / (1 - self.q) for qn in _q_powers(self.q, self.N, one)[1:]]
+            self.outer[type(t), t] = _q_powers(t, self.N, one), qints
+        tpow, qints = self.outer[type(t), t]
         return [0] + [tpow[n] / qints[n] if u == XI else tpow[n] / qints[n] ** u for n in range(1, self.N)]
 
     def value(self, word):

@@ -5,9 +5,9 @@ the resummation-duality generators (phi-rho words minus their duals) as
 integer rows {A-word: int}, each word w read at weight d as the monomial
 h^(d - deg w) w; intersects their span with the z-word part of the weight-d
 component by exact elimination, and reports relation bases over admissible
-indices together with the dimension table. A system with more rows than
-columns is reduced multimodularly (the modular module) and the result
-certified exactly; a smaller one by fraction-free elimination.
+indices together with the dimension table. Every system is brought to its
+canonical RREF: one with more rows than columns multimodularly (the modular
+module), the result certified exactly; a smaller one fraction-free.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .errors import DomainError, InternalError, NotAdmissible, NotHomogeneous
-from .words import XI, Element, _collect, a_words_of_degree, index_from_text, index_to_text
+from .words import _RHO_EXPANSION, Element, _collect, a_words_of_degree, index_from_text, index_to_text
 from .words import is_admissible_index, is_admissible_start, word_degree, word_in_space, word_to_index
 from .products import _HARMONIC, _SHUFFLE, _quasi_shuffle_words, harmonic, phi  # noqa: F401 (harmonic: a binding callers use)
 from .evaluate import _suffix_tables, zbar_q
@@ -132,7 +132,7 @@ def _dual_differences(d):
     word phi_(a_1+1) rho^b_1 ..., ordered by (a_1, b_1), then by the rest. A
     dual is another composition of total d, so every word is built once.
     """
-    rho = {(1,): 1, (XI,): -1}  # z_1 - xi
+    rho = dict(_RHO_EXPANSION)  # z_1 - xi
     levels = [{(): {(): 1}}]
     for t in range(1, d + 1):
         level = {}
@@ -172,13 +172,6 @@ def gen_hoffman(index):
     return Element(terms)
 
 
-def _first_nonzero(row, start):
-    for i in range(start, len(row)):
-        if row[i]:
-            return i
-    return None
-
-
 def _strip_content(row):
     g = 0
     for x in row:
@@ -191,64 +184,55 @@ def _strip_content(row):
     return row
 
 
-def _insertion_echelon(int_rows, ncols):
-    """Fraction-free insertion echelon of sparse integer rows; returns {pivot column: dense row}.
+def _eliminate(row, piv, c):
+    """Column c of row cleared with the pivot row piv (piv[c] > 0), fraction-free and made primitive.
 
-    Rows are inserted in input order. A row that depends on the rows before it
-    reduces to zero and leaves the echelon unchanged.
+    row is scaled by a positive factor, so its entries where piv is zero keep their signs.
+    """
+    a, b = row[c], piv[c]
+    g = gcd(a, b)
+    ma, mb = a // g, b // g
+    return _strip_content([mb * x - ma * y for x, y in zip(row, piv)])
+
+
+def _insertion_echelon(int_rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of sparse integer rows by insertion.
+
+    Each row is reduced against every stored pivot row; if it is not then
+    zero, its pivot column is cleared in every stored row and it is stored
+    primitive with a positive pivot entry. The stored rows stay the
+    primitive RREF of the rows inserted so far, so the result does not
+    depend on the input order (see _int_echelon).
     """
     pivots = {}
     for sparse in int_rows:
         row = [0] * ncols
         for j, x in sparse.items():
             row[j] = x
-        col = _first_nonzero(row, 0)
-        while col is not None:
-            piv = pivots.get(col)
-            if piv is None:
-                if row[col] < 0:
-                    row = [-x for x in row]
-                pivots[col] = _strip_content(row)
-                break
-            a, b = row[col], piv[col]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            # both rows are zero before col
-            row = [0] * col + [mb * x - ma * y for x, y in zip(row[col:], piv[col:])]
-            row = _strip_content(row)
-            col = _first_nonzero(row, col + 1)
+        for c, piv in pivots.items():
+            if row[c]:
+                row = _eliminate(row, piv, c)
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        row = _strip_content([-x for x in row] if row[col] < 0 else row)
+        for c, piv in pivots.items():
+            if piv[col]:
+                pivots[c] = _eliminate(piv, row, col)
+        pivots[col] = row
     return pivots
 
 
 def _reduced_tails(pivots, ncols):
-    """The reduced echelon form of an integer echelon, over one common denominator.
+    """An RREF {pivot column: primitive row} (as _int_echelon returns) over one common denominator.
 
     Returns (non, den, tails): reduced row c is 1 at column c, 0 at the other
-    pivot columns and tails[c][k] / den at column non[k]. Reduced rows of the
-    later pivots are zero at every other pivot column, so each row follows in
-    one step: R_c = (E_c[non] - sum over c' > c of E_c[c'] R_c') / E_c[c].
+    pivot columns and tails[c][k] / den at column non[k]; den is the lcm of
+    the pivot entries.
     """
-    cols = sorted(pivots)
     non = [j for j in range(ncols) if j not in pivots]
-    fracs = {}
-    for c in reversed(cols):
-        row = pivots[c]
-        upper = [(row[c2], fracs[c2]) for c2 in cols if c2 > c and row[c2]]
-        den = 1
-        for _, (d2, _) in upper:
-            den = lcm(den, d2)
-        num = [row[j] * den for j in non]
-        for f, (d2, t2) in upper:
-            k = f * (den // d2)
-            num = [x - k * y for x, y in zip(num, t2)]
-        den *= row[c]
-        g = gcd(den, *num)
-        if den < 0:
-            g = -g
-        fracs[c] = (den // g, [x // g for x in num])
-    den = lcm(*(d for d, _ in fracs.values()))
-    tails = {c: [x * (den // d) for x in t] for c, (d, t) in fracs.items()}
-    return non, den, tails
+    den = lcm(*(row[c] for c, row in pivots.items()))
+    return non, den, {c: [row[j] * (den // row[c]) for j in non] for c, row in pivots.items()}
 
 
 def _in_span(rows, non, den, tails):
@@ -275,14 +259,16 @@ def _in_span(rows, non, den, tails):
 
 
 def _int_echelon(int_rows, ncols):
-    """Integer echelon of sparse integer rows {column: int}; returns {pivot column: dense row}.
+    """The RREF of sparse integer rows {column: int} as {pivot column: dense row}.
 
-    With no more rows than columns this is _insertion_echelon, which keeps
-    small systems free of numpy. With more rows it is the exact reduced
-    echelon form, each row a primitive integer row with a positive pivot
-    entry, found multimodularly (see the modular module) from the rows less
-    their repeats up to sign (a row and its negation share the key of their
-    sorted entries, signed so that the entry at the smallest column is positive):
+    Each row is the primitive integer multiple of a reduced row, so its pivot
+    entry is positive and it is zero before its pivot and at every other
+    pivot column; the RREF is canonical, whatever the row order. With no
+    more rows than columns it is found by _insertion_echelon, which keeps
+    small systems free of numpy. With more rows it is found multimodularly
+    (see the modular module) from the rows less their repeats up to sign (a
+    row and its negation share the key of their sorted entries, signed so
+    that the entry at the smallest column is positive):
 
     1. the RREF mod each prime of modular.primes() in turn. Mod p the rank
        is never higher, and no pivot column earlier, than over Q, and a
@@ -363,20 +349,12 @@ def rref(rows):
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("rows must have equal length")
-    return _fraction_rows(_int_echelon([_to_int_row(r) for r in rows], ncols), ncols)
+    return _fraction_rows(_int_echelon([_to_int_row(r) for r in rows], ncols))
 
 
-def _fraction_rows(pivots, ncols):
-    """The reduced echelon form of an integer echelon {pivot column: row}, as Fraction rows."""
-    non, den, tails = _reduced_tails(pivots, ncols)
-    out = []
-    for c in sorted(pivots):
-        row = [Fraction(0)] * ncols
-        row[c] = Fraction(1)
-        for j, x in zip(non, tails[c]):
-            row[j] = Fraction(x, den)
-        out.append(tuple(row))
-    return tuple(out)
+def _fraction_rows(pivots):
+    """An RREF {pivot column: primitive row} (as _int_echelon returns) as Fraction rows, by pivot column."""
+    return tuple(tuple(Fraction(x, row[c]) if x else Fraction(0) for x in row) for c, row in sorted(pivots.items()))
 
 
 @dataclass(frozen=True)
@@ -439,12 +417,11 @@ def intersect_with_h0(rows, d, hbar_lifts=True):
     """Intersection of the span of generator rows with the z-word part at weight d.
 
     rows are {A-word: int} rows read at weight d (see gen_double_shuffle).
-    Orders coordinates with the non-z-part monomials first and row-reduces
-    every nonempty row with _int_echelon: multimodular and
-    certified when there are more rows than columns, fraction-free
-    otherwise. The echelon rows whose pivot lies in the z-word block are
-    zero outside it and exactly span the intersection; their reduced
-    echelon form over the index coordinates is returned.
+    Orders coordinates with the non-z-part monomials first and brings every
+    nonempty row to the RREF with _int_echelon. The RREF rows whose pivot
+    lies in the z-word block are zero outside it and exactly span the
+    intersection; over the index coordinates they are its RREF, which is
+    returned.
     """
     basis = enumerate_basis(d)
     h0_cols, index_basis = _h0_columns(basis)
@@ -456,7 +433,7 @@ def intersect_with_h0(rows, d, hbar_lifts=True):
     except InternalError as exc:
         raise InternalError("weight %d: %s" % (d, exc)) from exc
     h0_rows = {c - n_non: row[n_non:] for c, row in pivots.items() if c >= n_non}
-    return RelationBasis(d, hbar_lifts, index_basis, _fraction_rows(h0_rows, len(h0_cols)))
+    return RelationBasis(d, hbar_lifts, index_basis, _fraction_rows(h0_rows))
 
 
 def relation_basis(d, include_hbar_lifts=True, caches=None):
@@ -519,11 +496,19 @@ def relation_basis_to_doc(basis):
     }
 
 
+def _text(value):
+    """A JSON string of a relation document as it is; TypeError for any other JSON value."""
+    if type(value) is not str:
+        raise TypeError("expected a string, not %r" % (value,))
+    return value
+
+
 def relation_basis_from_doc(doc):
     """Inverse of relation_basis_to_doc; validates shape and exact values.
 
-    The weight must be a JSON integer >= 2 and the index basis the one that
-    intersect_with_h0 produces at that weight.
+    The weight must be a JSON integer >= 2, every index text and coefficient
+    a JSON string, and the index basis the one that intersect_with_h0
+    produces at that weight.
     """
     try:
         weight = doc["weight"]
@@ -532,8 +517,8 @@ def relation_basis_from_doc(doc):
         lifts = doc["mode"]["hbar_lifts"]
         if type(lifts) is not bool:
             raise TypeError("hbar_lifts must be true or false, not %r" % (lifts,))
-        index_basis = tuple(index_from_text(t) for t in doc["index_basis"])
-        rows = tuple(tuple(Fraction(c) for c in row) for row in doc["relations"])
+        index_basis = tuple(index_from_text(_text(t)) for t in doc["index_basis"])
+        rows = tuple(tuple(Fraction(_text(c)) for c in row) for row in doc["relations"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("malformed relation document: %s" % exc) from exc
     # the weight-d index basis has 2^(d-1) entries; checking that first keeps a

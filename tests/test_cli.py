@@ -242,6 +242,12 @@ def test_verify_rejects_malformed_file(tmp_path):
     bad = tmp_path / "nope.json"
     bad.write_text("{broken")
     _run("verify", str(bad), expect=2)
+    # JSON values that are not strings where index texts and coefficients belong
+    good = json.loads(_run("relations", "--weight", "3", "--json").stdout)
+    for key, value in (("index_basis", [1, 2]), ("relations", [[True, 0.5] + good["relations"][0][2:]])):
+        bad.write_text(json.dumps(dict(good, **{key: value})))
+        proc = _run("verify", str(bad), expect=2)
+        assert "malformed relation document" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_usage_error_exits_2():
@@ -252,6 +258,9 @@ def test_usage_error_exits_2():
         ("relations", "--weight", "x"),
         ("eval", "z2", "--N", "3.5"),
         ("eval", "z2", "--tol", "abc"),
+        ("eval", "z2", "--q", "1/0"),
+        ("eval", "z2", "--q", "2"),
+        ("polylog", "z2", "--t", "1"),
     ):
         proc = _run(*argv, expect=2)
         assert "_arg" not in proc.stderr, (argv, proc.stderr)

@@ -144,24 +144,36 @@ def _primitive_rref(rows):
     return out
 
 
+def _drawn_rows(rng, nrows, ncols, bits):
+    """nrows integer rows of ncols entries below 2^bits, about half of them combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.5:
+            # planted dependency on rows already present
+            picks = rng.sample(rows, min(len(rows), rng.randint(1, 3)))
+            coeffs = [rng.randint(-(2**bits), 2**bits) for _ in picks]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, picks)) for j in range(ncols)])
+        else:
+            rows.append([rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(ncols)])
+    return rows
+
+
 def test_int_echelon_equals_insertion_over_all_rows():
-    # every matrix is tall, so every one takes the multimodular branch; the
-    # 100-bit ones need many primes
+    # the tall matrices take the multimodular branch, the 100-bit ones needing
+    # many primes; the short ones take _insertion_echelon, which must give the
+    # same canonical RREF in any row order
     rng = random.Random(53)
     for _ in range(30):
         ncols = rng.randint(1, 8)
         nrows = rng.randint(ncols + 1, 3 * ncols + 2)
-        bits = rng.choice((3, 40, 100))
-        rows = []
-        for _ in range(nrows):
-            if rows and rng.random() < 0.5:
-                # planted dependency on rows already present
-                picks = rng.sample(rows, min(len(rows), rng.randint(1, 3)))
-                coeffs = [rng.randint(-(2**bits), 2**bits) for _ in picks]
-                rows.append([sum(c * r[j] for c, r in zip(coeffs, picks)) for j in range(ncols)])
-            else:
-                rows.append([rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(ncols)])
+        rows = _drawn_rows(rng, nrows, ncols, rng.choice((3, 40, 100)))
         assert _int_echelon(_sparse(rows), ncols) == _primitive_rref(rows)
+    for _ in range(30):
+        ncols = rng.randint(1, 8)
+        rows = _drawn_rows(rng, rng.randint(1, ncols), ncols, rng.choice((3, 40, 100)))
+        want = _primitive_rref(rows)
+        assert _int_echelon(_sparse(rows), ncols) == want
+        assert _int_echelon(_sparse(rng.sample(rows, len(rows))), ncols) == want
 
 
 def test_int_echelon_falls_back_when_the_prime_loses_rank():
@@ -396,7 +408,7 @@ def _double_shuffle_reference(d):
 
 
 def test_double_shuffle_order_is_the_same_with_shared_caches():
-    # the fraction-free short branch of _int_echelon stores rows that depend on the generator order
+    # the rows and their order must not depend on what a shared cache already holds
     shared = {}
     for d in range(2, 7):
         got = gen_double_shuffle(d, shared)
@@ -626,6 +638,9 @@ def test_deserialization_rejects_malformed_documents():
         lambda d: d.__setitem__("weight", 1),
         lambda d: d.update(weight=7, index_basis=["", "2", "2,1", "5,5"]),
         lambda d: d["index_basis"].__setitem__(3, "2,1"),
+        lambda d: d.__setitem__("index_basis", [1, 2]),
+        lambda d: d["relations"].__setitem__(0, [True, 0.5] + d["relations"][0][2:]),
+        lambda d: d["relations"][0].__setitem__(0, 0.1),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)
