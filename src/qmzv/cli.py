@@ -78,18 +78,18 @@ def build_parser():
 
     sp = sub.add_parser("product", help="multiply two expressions")
     sp.add_argument("kind", choices=sorted(PRODUCTS))
-    sp.add_argument("e1")
-    sp.add_argument("e2")
+    sp.add_argument("e1", help="expression; after --, it may start with '-': product harmonic -- -z2 z3")
+    sp.add_argument("e2", help="expression, as e1")
     _add_output(sp)
 
     sp = sub.add_parser("eval", help="evaluate Z_q on an expression")
-    sp.add_argument("expr")
+    sp.add_argument("expr", help="expression; after --, it may start with '-': eval -- -z2")
     _add_context(sp)
     _add_output(sp)
 
     sp = sub.add_parser("polylog", help="evaluate the polylogarithm L at t")
-    sp.add_argument("expr")
-    sp.add_argument("--t", type=_t_arg, required=True, help="rational with |t| < 1")
+    sp.add_argument("expr", help="expression; after --, it may start with '-': polylog --t 1/2 -- -z2")
+    sp.add_argument("--t", type=_t_arg, required=True, help="rational with |t| < 1; a negative one as --t=-1/2")
     _add_context(sp)
     _add_output(sp)
 

@@ -5,11 +5,11 @@ The multimodular half of relations._int_echelon. Its sparse integer rows
 primes just below 2^23 by blocked Gauss-Jordan elimination in float64 with
 delayed reduction (Dumas, Giorgi and Pernet 2008, FFLAS-FFPACK): panels of
 _PANEL columns, each factored in sub-blocks of _BLOCK columns, so that
-rank-1 updates touch one sub-block and matrix products do the rest. The
-residues of several primes are combined by CRT and balanced rational
-reconstruction (Wang 1981; Monagan 2004). Nothing here is trusted:
-relations._int_echelon certifies the result exactly. This module imports
-numpy, so only the elimination of tall systems imports it.
+rank-1 updates touch one sub-block and matrix products do the rest. Each
+prime's residues are folded once into a running CRT (crt_step), and that is
+read by balanced rational reconstruction (Wang 1981; Monagan 2004). Nothing
+here is trusted: relations._int_echelon certifies the result exactly. This
+module imports numpy, so only the elimination of tall systems imports it.
 """
 
 from __future__ import annotations
@@ -187,25 +187,23 @@ def _rational(u, m, bound):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def reconstruct(cols, kept, ncols):
-    """Primitive integer rows {pivot column: row} of an RREF given mod several primes, or None.
+def crt_step(x, m, residues, p):
+    """(y, m p) with y = x mod m and y = residues (float64, as rref_mod gives them) mod p entrywise, 0 <= y < m p; x may be 0 with m = 1."""
+    r = residues.astype(np.int64).astype(object)
+    return x + m * ((r - x % p) * pow(m, -1, p) % p), m * p
 
-    kept holds (p, residues) pairs with the same pivot columns. CRT gives each
-    entry as x mod M, read as the fraction a/b with a = b x mod M and
-    |a|, b <= N = isqrt((M - 1) / 2), which is unique since 2 N^2 < M. A row
-    is scaled by the lcm of its entries' denominators, so it comes out
-    primitive with that lcm at the pivot; while the lcm so far already
-    clears an entry's denominator, a single multiplication finds it. None
-    when some entry has no such fraction.
+
+def reconstruct(cols, non, x, m, ncols):
+    """Primitive integer rows {pivot column: row} of an RREF given mod m, or None.
+
+    Row s has its pivot at cols[s] and x[s, k] mod m, as crt_step folds it,
+    at column non[k], one of the other columns. Each such x is read as the
+    fraction a/b with a = b x mod m and |a|, b <= N = isqrt((m - 1) / 2),
+    which is unique since 2 N^2 < m. A row is scaled by the lcm of its
+    entries' denominators, so it comes out primitive with that lcm at the
+    pivot; while the lcm so far already clears an entry's denominator, a
+    single multiplication finds it. None when some entry has no such fraction.
     """
-    pivot = set(cols)
-    non = [j for j in range(ncols) if j not in pivot]
-    x = np.zeros((len(cols), len(non)), dtype=object)
-    m = 1
-    for p, residues in kept:
-        r = residues[:, non].astype(np.int64).astype(object)
-        x = x + m * ((r - x % p) * pow(m, -1, p) % p)
-        m *= p
     half, bound = m // 2, isqrt((m - 1) // 2)
     out = {}
     for c, xs in zip(cols, x.tolist()):

@@ -278,7 +278,8 @@ def _int_echelon(int_rows, ncols):
        best prime's pivots (modular.rref_mod), which span every row when
        that prime matches, unless its pivots there differ from the best or
        the certificate before it failed; then it reduces every row;
-    2. CRT and balanced rational reconstruction over the kept primes;
+    2. each kept prime's residues at the non-pivot columns, folded once into
+       one running CRT (modular.crt_step), then rational reconstruction;
     3. certify: every row is checked, in exact integers, to lie in the span
        of the reconstructed rows (_in_span).
 
@@ -307,7 +308,7 @@ def _int_echelon(int_rows, ncols):
     a = modular.integer_matrix(int_rows, ncols)
     limit = modular.hadamard_limit(a)
     # rows: the input rows of the best prime's pivots; whole: the product of the kept primes that reduced every row
-    best, kept, rows, whole, retry = None, [], None, 1, True
+    best, rows, whole, retry = None, None, 1, True
     for p in modular.primes():
         if not retry:
             cols, residues, _ = modular.rref_mod(a[rows], p)
@@ -316,15 +317,16 @@ def _int_echelon(int_rows, ncols):
             retry, key = False, (-len(cols), cols)
             if best is not None and key > best:
                 continue
-            if key != best:
-                best, kept, rows, whole = key, [], found, 1
+            if key != best:  # a new best: its running CRT (x mod m) at its non-pivot columns starts afresh
+                best, rows, whole, x, m = key, found, 1, 0, 1
+                non = sorted(set(range(ncols)) - set(cols))
             whole *= p
-        kept.append((p, residues))
-        pivots = modular.reconstruct(cols, kept, ncols)
+        x, m = modular.crt_step(x, m, residues[:, non], p)
+        pivots = modular.reconstruct(cols, non, x, m, ncols)
         if pivots is not None and _in_span(int_rows, *_reduced_tails(pivots, ncols)):
             return pivots
         if whole > limit:
-            raise InternalError("multimodular RREF failed its certificate with %d primes past the Hadamard bound" % len(kept))
+            raise InternalError("multimodular RREF failed its certificate with a %d-bit modulus past the Hadamard bound" % m.bit_length())
         retry = pivots is not None  # a failed certificate: the next prime reduces every row
 
 

@@ -1,12 +1,14 @@
 """Acceptance checks: one test per shipped guarantee.
 
 Each function is a single pass/fail gate; run with -v to get the one-line
-verdict per guarantee. The dimension-table check writes the passing-mode
-record to acceptance_report.json next to this file's parent directory.
+verdict per guarantee. The dimension-table and weight-8 checks write their
+records (passing modes, runtimes) to acceptance_report.json next to this
+file's parent directory.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -44,6 +46,13 @@ EXPECTED_BOUNDS = [1, 2, 4, 7, 11, 18]
 
 _DIMS_BY_MODE = {}
 _REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.json"
+
+
+def _record(section, value):
+    """Set one section of acceptance_report.json, keeping the others."""
+    report = json.loads(_REPORT_PATH.read_text()) if _REPORT_PATH.exists() else {}
+    report[section] = value
+    _REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
 
 def _dims_rows(hbar_lifts):
@@ -109,20 +118,15 @@ def test_dimension_table_matches_expected_counts():
             and [r.dim_n for r in rows] == EXPECTED_DIMS
         )
         passing[label] = ok
-    _REPORT_PATH.write_text(
-        json.dumps(
-            {
-                "dimension_table": {
-                    "expected_index_counts": EXPECTED_INDEX_COUNTS,
-                    "expected_dims": EXPECTED_DIMS,
-                    "passing_modes": [k for k, v in passing.items() if v],
-                    "runtime_seconds": timings,
-                    "small_weights_cli_seconds": round(small_elapsed, 2),
-                }
-            },
-            indent=2,
-        )
-        + "\n"
+    _record(
+        "dimension_table",
+        {
+            "expected_index_counts": EXPECTED_INDEX_COUNTS,
+            "expected_dims": EXPECTED_DIMS,
+            "passing_modes": [k for k, v in passing.items() if v],
+            "runtime_seconds": timings,
+            "small_weights_cli_seconds": round(small_elapsed, 2),
+        },
     )
     assert any(passing.values()), passing
 
@@ -136,6 +140,37 @@ def test_dimension_table_matches_expected_counts():
     assert proc.returncode == 0
     assert "1 3 7 15 31 63" in proc.stdout
     assert "0 1 3 8 20 45" in proc.stdout
+
+
+WEIGHT_8_DIGESTS = {
+    "hbar_lifts": "403f09d820e1cb326b70dac5efa9f13c6a3b9b39ecd9d730b95b1dc78baff903",
+    "no_hbar_lifts": "7e695c5bd39e7b9d49900bdf6fb60345701df3ae89360a113575f9d961174077",
+}
+WEIGHT_8_BUDGET_S = 20.0  # per mode; each took 3-4 s on a 2-core VM
+
+
+def test_weight_8_relations_in_both_modes():
+    # weight 8 is the supported weight whose elimination folds the most primes
+    # (5), so this pins the multimodular RREF on real data, end to end
+    docs, timings = {}, {}
+    for label, flags in (("hbar_lifts", ()), ("no_hbar_lifts", ("--no-hbar-lifts",))):
+        t0 = time.time()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmzv", "relations", "--weight", "8", "--json", *flags],
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        timings[label] = round(time.time() - t0, 2)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == WEIGHT_8_DIGESTS[label]
+        docs[label] = json.loads(proc.stdout)
+    for doc in docs.values():
+        indices, dim = len(doc["index_basis"]) - 1, len(doc["relations"])
+        assert (indices, dim, indices - dim) == (127, 100, 27)
+    assert docs["hbar_lifts"]["relations"] == docs["no_hbar_lifts"]["relations"]
+    _record("relations_weight_8", {"indices": 127, "dim": 100, "bound": 27, "runtime_seconds": timings, "budget_seconds": WEIGHT_8_BUDGET_S})
+    assert max(timings.values()) <= WEIGHT_8_BUDGET_S, timings
 
 
 def test_implied_bounds_consistency():

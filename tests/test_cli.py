@@ -162,6 +162,22 @@ def test_eval_json_carries_certification():
     assert abs(float(doc["value"]) - 0.421970328951157) < 1e-11
 
 
+def test_negative_arguments_follow_a_double_dash_or_an_equals_sign():
+    # argparse reads a leading "-" as an option
+    for argv, message in (
+        (("eval", "-z2"), "the following arguments are required: expr"),
+        (("product", "harmonic", "-z2", "z3"), "the following arguments are required: e2"),
+        (("polylog", "z2", "--t", "-1/2"), "argument --t: expected one argument"),
+    ):
+        assert message in _run(*argv, expect=2).stderr, argv
+    z2 = json.loads(_main("eval", "z2", "--json"))["value"]
+    assert json.loads(_main("eval", "--json", "--", "-z2"))["value"] == "-" + z2
+    at_t = json.loads(_main("polylog", "z2", "--t=-1/2", "--json"))["value"]
+    assert at_t.startswith("-")
+    assert json.loads(_main("polylog", "--t=-1/2", "--json", "--", "-z2"))["value"] == at_t[1:]
+    assert _main("product", "harmonic", "--", "-z2", "z3") == "-h*z4 - z2 z3 - z3 z2 - z5\n"
+
+
 def test_eval_rejects_bad_q():
     _run("eval", "z2", "--q", "3/2", expect=2)
     _run("eval", "z2", "--q", "abc", expect=2)

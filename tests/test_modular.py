@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -75,3 +76,27 @@ def test_integer_matrix_fills_sparse_rows():
     assert big.dtype == object
     assert big.tolist() == [[0, -(2**100), 0], [0, 0, 1]]
     assert modular.integer_matrix([], 2).shape == (0, 2)
+
+
+def test_crt_step_and_reconstruct_read_a_rational_rref():
+    # negative entries; row 0's lcm grows 3 -> 6 at column 4 and already clears
+    # the 1/2 after it, row 1's grows 13 -> 39 at its last column; the 31-bit
+    # numerators need a modulus above 2^63, three primes below 2^23. Below
+    # that some entry of these rows has no fraction within the bound (a small
+    # modulus may also give a wrong one, which the certificate rejects)
+    cols, non = [0, 2], [1, 3, 4, 5]
+    rref = [
+        [1, -2, 0, Fraction(-(5**13), 3), Fraction(-7, 6), Fraction(-1, 2)],
+        [0, 0, 1, -4, Fraction(9, 13), Fraction(-(2**31 + 5), 39)],
+    ]
+    want = {0: [6, -12, 0, -2 * 5**13, -7, -3], 2: [0, 0, 39, -156, 27, -(2**31 + 5)]}
+    x, m = 0, 1
+    for k, p in enumerate(itertools.islice(modular.primes(), 4), 1):
+        residues = np.array([[Fraction(v).numerator * pow(Fraction(v).denominator, -1, p) % p for v in row] for row in rref])
+        residues = np.where(residues > p // 2, residues - p, residues).astype(np.float64)  # balanced, as rref_mod gives them
+        before, m_before = x, m
+        x, m = modular.crt_step(x, m, residues[:, non], p)
+        # x keeps its residues mod the earlier primes and takes those mod p
+        assert m == m_before * p and x.shape == (2, 4) and ((0 <= x) & (x < m)).all()
+        assert ((x - before) % m_before == 0).all() and (x % p == residues[:, non].astype(np.int64) % p).all()
+        assert modular.reconstruct(cols, non, x, m, 6) == (None if k < 3 else want)
