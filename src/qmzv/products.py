@@ -4,18 +4,19 @@ delta0, delta1, i0, i1, e, e_inv, phi_k that tie them together.
 Conventions: harmonic, shuffle and star act on A-basis elements, shuffle_x
 is the integral shuffle on x/y/r elements, where it is defined. All of them
 run one memoised quasi-shuffle word recursion, given a rule: the letter
-correction (circle for harmonic, ALPHA_TABLE for the shuffles), how a word
-splits off its first letter, and how a letter is written back in front.
-Harmonic and shuffle_x split off the word's own first letter. Shuffle
-splits an A-word into x/y/r letters (xi = y - r, z_k = x^(k-1) y) and
-contracts each prefix at once (r = z_1 - xi), so it equals
-contract_to_a(shuffle_x(expand_to_x(a), expand_to_x(b))) without leaving
-the A-basis. Star is the shuffle transported through e,
+correction as an integer word dict (_circle for harmonic, _ALPHA for the
+shuffles), how a word splits off its first letter, and how a letter is
+written back in front. Harmonic and shuffle_x split off the word's own first
+letter. Shuffle splits an A-word into x/y/r letters (xi = y - r,
+z_k = x^(k-1) y) and contracts each prefix at once (r = z_1 - xi), so it
+equals contract_to_a(shuffle_x(expand_to_x(a), expand_to_x(b))) without
+leaving the A-basis. Star is the shuffle transported through e,
 star(a, b) = e_inv(e(a) sh e(b)). The products accept an optional cache
 dict, one per product, keyed by word pairs: A-word pairs for harmonic,
 shuffle and star, x/y/r word pairs for shuffle_x. Passing one across calls
 of the same product is safe because its entries are input-determined and
-never changed once stored.
+never changed once stored. The maps delta0, delta1, i0, i1, e and e_inv
+rewrite only the first letter of a word: each is one _leading_map call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DomainError
-from .hpoly import H, HPoly, ONE, h_power
+from .hpoly import HPoly, ONE, h_power
 from .words import _RHO_EXPANSION, XI, Element, _accumulate, _collect, _raw, membership, word_degree
 
 
@@ -32,15 +33,9 @@ def _neg_h_power(j):
     return HPoly((0,) * j + ((-1) ** j,))
 
 
-def _integer_terms(e, degree):
-    """The (word, n) pairs of a correction e = sum of n h^(degree - deg word) word; ValueError unless n is an integer."""
-    out = []
-    for w, p in e.terms.items():
-        n = p[j := degree - word_degree(w)]
-        if not n or n.denominator != 1 or p.coeffs != (0,) * j + (n,):
-            raise ValueError("correction term (%s) %s is not an integer times h^%d" % (p, w, j))
-        out.append((w, int(n)))
-    return out
+def _lifted(ints, top):
+    """The Element sum of n h^(top - deg word) word over an integer word dict {word: n}."""
+    return Element((w, h_power(top - word_degree(w)) * n) for w, n in ints.items())
 
 
 def _bilinear(e1, e2, rule, cache):
@@ -59,10 +54,10 @@ def _bilinear(e1, e2, rule, cache):
 def _quasi_shuffle_words(w1, w2, rule, cache):
     """uw * vw' = u(w * vw') + v(uw * w') + correction(u, v)(w * w'), memoised in cache.
 
-    rule = (correction, split, prefix): split(w) gives the (u, rest, sign) with
-    w = sum of sign u rest, and prefix(c, m, terms) is m c t for the terms t.
-    The product is homogeneous: {word: n} stands for the sum of n h^(deg w1 + deg w2 - deg word)
-    word, as in _integer_terms. Tuple A-words and str x/y/r words alike; a cache serves one rule.
+    The product is homogeneous: {word: n} stands for the sum of n h^(deg w1 + deg w2 - deg word) word.
+    rule = (correction, split, prefix): correction(u, v) is such a dict at degree deg u + deg v, split(w)
+    gives the (u, rest, sign) with w = sum of sign u rest, and prefix(c, m, terms) is m c t for the terms
+    t. Tuple A-words and str x/y/r words alike; a cache serves one rule.
     """
     if not w1 or not w2:
         return {w1 + w2: 1}
@@ -78,7 +73,7 @@ def _quasi_shuffle_words(w1, w2, rule, cache):
             terms += prefix(v, t, _quasi_shuffle_words(w1, t2, rule, cache))
         for u, t1, s in s1:
             for v, t2, t in s2:
-                for c, m in _integer_terms(correction(u[0], v[0]), word_degree(u) + word_degree(v)):
+                for c, m in correction(u[0], v[0]).items():
                     terms += prefix(c, s * t * m, _quasi_shuffle_words(t1, t2, rule, cache))
         got = cache[key] = _collect(terms)
     return got
@@ -122,19 +117,21 @@ def _contracted(c, m, terms):
     return out
 
 
+def _circle(a, b):
+    """circle(a, b) as an integer word dict read at degree deg a + deg b."""
+    if a == XI and b == XI:
+        return {(2,): 1, (XI,): -1}
+    if a == XI or b == XI:
+        return {((b if a == XI else a) + 1,): 1}
+    return {(a + b,): 1, (a + b - 1,): 1}
+
+
 def circle(a, b):
     """The commutative product on the span of single letters.
 
     z_k o z_l = z_{k+l} + h z_{k+l-1}; xi o z_k = z_{k+1}; xi o xi = z_2 - h xi.
     """
-    if a == XI and b == XI:
-        return Element((((2,), ONE), ((XI,), -H)))
-    if a == XI:
-        return Element.from_word((b + 1,))
-    if b == XI:
-        return Element.from_word((a + 1,))
-    s = a + b
-    return Element((((s,), ONE), ((s - 1,), H)))
+    return _lifted(_circle(a, b), word_degree((a, b)))
 
 
 def harmonic(e1, e2, cache=None):
@@ -142,25 +139,26 @@ def harmonic(e1, e2, cache=None):
     return _bilinear(e1, e2, _HARMONIC, {} if cache is None else cache)
 
 
-# Correction table for the shuffle recursion; symmetric by construction.
-ALPHA_TABLE = {
-    ("x", "x"): Element((("x", H),)),
-    ("x", "y"): Element(),
-    ("y", "x"): Element(),
-    ("y", "y"): Element((("yr", HPoly(-1)),)),
-    ("x", "r"): Element((("xr", HPoly(-1)),)),
-    ("r", "x"): Element((("xr", HPoly(-1)),)),
-    ("y", "r"): Element((("yr", HPoly(-1)),)),
-    ("r", "y"): Element((("yr", HPoly(-1)),)),
-    ("r", "r"): Element((("rr", HPoly(-1)),)),
+# Correction table for the shuffle recursion, read at degree 2; symmetric by construction.
+_ALPHA = {
+    ("x", "x"): {"x": 1},
+    ("x", "y"): {},
+    ("y", "x"): {},
+    ("y", "y"): {"yr": -1},
+    ("x", "r"): {"xr": -1},
+    ("r", "x"): {"xr": -1},
+    ("y", "r"): {"yr": -1},
+    ("r", "y"): {"yr": -1},
+    ("r", "r"): {"rr": -1},
 }
+ALPHA_TABLE = {uv: _lifted(ints, 2) for uv, ints in _ALPHA.items()}
 
 
 def _alpha(u, v):
-    return ALPHA_TABLE[u, v]
+    return _ALPHA[u, v]
 
 
-_HARMONIC = (circle, _first_letter, _concatenated)
+_HARMONIC = (_circle, _first_letter, _concatenated)
 _SHUFFLE_X = (_alpha, _first_letter, _concatenated)
 _SHUFFLE = (_alpha, _xyr_split, _contracted)
 
@@ -184,22 +182,41 @@ def shuffle(e1, e2, cache=None):
     return _bilinear(e1, e2, _SHUFFLE, {} if cache is None else cache)
 
 
+def _leading_map(e, domain, image):
+    """Sum of coeff c head tail over the terms coeff letter tail of e and the (head, HPoly c) pairs in image(letter).
+
+    image(None) is the empty word's image; None means off the domain, where every x/y/r word lies too.
+    """
+    out = {}
+    for word, coeff in e.terms.items():
+        pairs = image(word[0] if word else None) if type(word) is tuple else None
+        if pairs is None:
+            raise DomainError(domain % (word,))
+        tail = word[1:]
+        for head, c in pairs:
+            _accumulate(out, head + tail, coeff if c is ONE else coeff * c)
+    return _raw(out)
+
+
+def _z_sum(k, a0, s, hpow):
+    """The (z_a, C(k-s, a-s) hpow(k-a)) pairs for a = a0..k."""
+    return [((a,), hpow(k - a) * comb(k - s, a - s)) for a in range(a0, k + 1)]
+
+
+_UNIT = (((), ONE),)
+
+
 def delta0(e):
     """Strip one level off the leading letter: z_2 w -> xi w, z_k w -> z_{k-1} w.
 
     Defined on elements whose words are constant or start with z_k, k >= 2;
     constants map to 0.
     """
-    out = {}
-    for word, coeff in e.terms.items():
-        if not word:
-            continue
-        k = word[0]
-        if k < 2:
-            raise DomainError("delta0 needs z_k-leading words with k >= 2, got %s" % (word,))
-        head = (XI,) if k == 2 else (k - 1,)
-        _accumulate(out, head + word[1:], coeff)
-    return _raw(out)
+    return _leading_map(
+        e,
+        "delta0 needs z_k-leading words with k >= 2, got %s",
+        lambda k: () if k is None else None if k < 2 else (((XI,) if k == 2 else (k - 1,), ONE),),
+    )
 
 
 def delta1(e):
@@ -208,31 +225,20 @@ def delta1(e):
     delta1(z_k w) = (sum_{a=2}^{k} C(k-1,a-1)(-h)^{k-a} z_a + (-h)^{k-1} xi) w
     and delta1(1) = 1.
     """
-    out = {}
-    for word, coeff in e.terms.items():
-        if not word:
-            _accumulate(out, (), coeff)
-            continue
-        k = word[0]
-        if k < 1:
-            raise DomainError("delta1 needs z_k-leading words, got %s" % (word,))
-        tail = word[1:]
-        for a in range(2, k + 1):
-            c = _neg_h_power(k - a) * comb(k - 1, a - 1)
-            _accumulate(out, (a,) + tail, coeff * c)
-        _accumulate(out, (XI,) + tail, coeff * _neg_h_power(k - 1))
-    return _raw(out)
+    return _leading_map(
+        e,
+        "delta1 needs z_k-leading words, got %s",
+        lambda k: _UNIT if k is None else None if k < 1 else _z_sum(k, 2, 1, _neg_h_power) + [((XI,), _neg_h_power(k - 1))],
+    )
 
 
 def i0(e):
     """Raise the leading letter: xi w -> z_2 w, z_k w -> z_{k+1} w (k >= 2)."""
-    out = {}
-    for word, coeff in e.terms.items():
-        if not word or word[0] == 1:
-            raise DomainError("i0 needs xi- or z_{k>=2}-leading words, got %s" % (word,))
-        head = (2,) if word[0] == XI else (word[0] + 1,)
-        _accumulate(out, head + word[1:], coeff)
-    return _raw(out)
+    return _leading_map(
+        e,
+        "i0 needs xi- or z_{k>=2}-leading words, got %s",
+        lambda k: None if k is None or k == 1 else (((2,) if k == XI else (k + 1,), ONE),),
+    )
 
 
 def i1(e):
@@ -241,22 +247,15 @@ def i1(e):
     i1(z_k w) = (sum_{a=1}^{k} C(k-1,a-1) h^{k-a} z_a) w for k >= 2,
     the trailing factor w applied to every summand.
     """
-    out = {}
-    for word, coeff in e.terms.items():
-        if not word:
-            _accumulate(out, (), coeff)
-            continue
-        k = word[0]
-        tail = word[1:]
-        if k == XI:
-            _accumulate(out, (1,) + tail, coeff)
-            continue
-        if k == 1:
-            raise DomainError("i1 is undefined on z_1-leading words: %s" % (word,))
-        for a in range(1, k + 1):
-            c = h_power(k - a) * comb(k - 1, a - 1)
-            _accumulate(out, (a,) + tail, coeff * c)
-    return _raw(out)
+    return _leading_map(
+        e,
+        "i1 is undefined on z_1-leading words: %s",
+        lambda k: _UNIT if k is None else (((1,), ONE),) if k == XI else None if k == 1 else _z_sum(k, 1, 1, h_power),
+    )
+
+
+_E_FIXED = {None: _UNIT, XI: (((XI,), ONE),)}  # e and e_inv fix 1 and the xi-leading words
+_E_DOMAIN = "map needs admissible words, got %s"
 
 
 def e_map(e):
@@ -264,36 +263,24 @@ def e_map(e):
 
     e(1) = 1, e(xi w) = xi w, e(z_k w) = (sum_{a=2}^{k} C(k-2,a-2) h^{k-a} z_a) w.
     """
-    return _e_like(e, lambda j: h_power(j))
+    return _leading_map(e, _E_DOMAIN, lambda k: None if k == 1 else _E_FIXED.get(k) or _z_sum(k, 2, 2, h_power))
 
 
 def e_inv(e):
     """Inverse of e_map; same formula with (-h)^{k-a}."""
-    return _e_like(e, _neg_h_power)
+    return _leading_map(e, _E_DOMAIN, lambda k: None if k == 1 else _E_FIXED.get(k) or _z_sum(k, 2, 2, _neg_h_power))
 
 
-def _e_like(e, hpow):
-    out = {}
-    for word, coeff in e.terms.items():
-        if not word or word[0] == XI:
-            _accumulate(out, word, coeff)
-            continue
-        k = word[0]
-        if k == 1:
-            raise DomainError("map needs admissible words, got %s" % (word,))
-        tail = word[1:]
-        for a in range(2, k + 1):
-            c = hpow(k - a) * comb(k - 2, a - 2)
-            if c:
-                _accumulate(out, (a,) + tail, coeff * c)
-    return _raw(out)
+def _phi(k):
+    """phi_k as an integer word dict read at degree k, xi first."""
+    if k < 1:
+        raise ValueError("phi needs k >= 1")
+    return {(XI,): (-1) ** (k - 1), **{(a,): (-1) ** (k - a) for a in range(2, k + 1)}}
 
 
 def phi(k):
     """phi_k = sum_{a=2}^{k} (-h)^{k-a} z_a + (-h)^{k-1} xi; phi_1 = xi."""
-    if k < 1:
-        raise ValueError("phi needs k >= 1")
-    return Element([((XI,), _neg_h_power(k - 1))] + [((a,), _neg_h_power(k - a)) for a in range(2, k + 1)])
+    return _lifted(_phi(k), k)
 
 
 def star(e1, e2, cache=None):

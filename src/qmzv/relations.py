@@ -21,7 +21,7 @@ from math import gcd, lcm
 from .errors import DomainError, InternalError, NotAdmissible, NotHomogeneous
 from .words import _RHO_EXPANSION, Element, _collect, a_words_of_degree, index_from_text, index_to_text
 from .words import is_admissible_index, is_admissible_start, word_degree, word_in_space, word_to_index
-from .products import _HARMONIC, _SHUFFLE, _quasi_shuffle_words, harmonic, phi  # noqa: F401 (harmonic: a binding callers use)
+from .products import _HARMONIC, _SHUFFLE, _phi, _quasi_shuffle_words, harmonic  # noqa: F401 (harmonic: a binding callers use)
 from .evaluate import _suffix_tables, zbar_q
 
 
@@ -137,7 +137,7 @@ def _dual_differences(d):
     for t in range(1, d + 1):
         level = {}
         for a in range(t):
-            block = _word_ints(phi(a + 1), a + 1)[1]
+            block = _phi(a + 1)
             for b in range(t - a):
                 for rest, word in levels[t - a - b - 1].items():
                     level[((a, b),) + rest] = _concat(block, word)

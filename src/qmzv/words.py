@@ -303,11 +303,13 @@ def decompose_h0hat(e):
     empty words. Uses the triangular rewriting xi = z_1 - r repeatedly:
     xi r^r xi u = xi r^r z_1 u - xi r^(r+1) u.
 
-    Raises DomainError when some word starts with z_1.
+    Raises DomainError when some word starts with z_1 or is an x/y/r word.
     """
     part2 = {}
     buckets = {}
     for word, coeff in e.terms.items():
+        if type(word) is not tuple:
+            raise DomainError("word %r is not an A-word" % (word,))
         if not word or word[0] >= 2:
             _accumulate(part2, word, coeff)
             continue

@@ -20,6 +20,7 @@ from qmzv.words import (
     membership,
     word_degree,
 )
+from qmzv.evaluate import QContext, dq_check
 from qmzv.expr import format_element, parse_element
 from qmzv.products import (
     ALPHA_TABLE,
@@ -36,7 +37,7 @@ from qmzv.products import (
     shuffle_x,
     star,
 )
-from qmzv.products import _integer_terms
+from qmzv.products import _ALPHA, _circle, _phi
 
 from random_elements import property_examples, rational_coeff, rational_element
 
@@ -97,16 +98,24 @@ def test_products_of_words_are_integers_times_the_missing_h_power():
                 assert n.denominator == 1 and c == h_power(top - word_degree(w)) * n, (product, w1, w2, w)
 
 
-def test_integer_corrections_are_read_off_circle_and_alpha():
-    assert _integer_terms(circle(2, 3), 5) == [((5,), 1), ((4,), 1)]
-    assert _integer_terms(circle(XI, XI), 2) == [((2,), 1), ((XI,), -1)]
-    assert _integer_terms(ALPHA_TABLE["x", "x"], 2) == [("x", 1)]
-    assert _integer_terms(ALPHA_TABLE["r", "y"], 2) == [("yr", -1)]
-    assert _integer_terms(ALPHA_TABLE["x", "y"], 2) == []
-    not_monomials = [E((2,), ONE + H), E((2,), HPoly(Fraction(1, 2))), E((2,), H), E((3,)), E((2,)) + E((XI,), h_power(2))]
-    for e in not_monomials:
-        with pytest.raises(ValueError):
-            _integer_terms(e, 2)
+def _lift(ints, top):
+    """The element sum of n h^(top - deg word) word over an integer word dict."""
+    return Element((w, h_power(top - word_degree(w)) * n) for w, n in ints.items())
+
+
+def test_integer_corrections_lift_to_circle_and_alpha():
+    assert _circle(2, 3) == {(5,): 1, (4,): 1}
+    assert _circle(XI, XI) == {(2,): 1, (XI,): -1}
+    assert _ALPHA["x", "x"] == {"x": 1}
+    assert _ALPHA["r", "y"] == {"yr": -1}
+    assert _ALPHA["x", "y"] == {}
+    letters = (XI, 1, 2, 3, 4)
+    for a in letters:
+        for b in letters:
+            assert circle(a, b) == _lift(_circle(a, b), word_degree((a, b))), (a, b)
+    assert ALPHA_TABLE.keys() == _ALPHA.keys()
+    for uv, ints in _ALPHA.items():
+        assert ALPHA_TABLE[uv] == _lift(ints, 2), uv
 
 
 def test_alpha_table_symmetric():
@@ -203,6 +212,68 @@ def test_i0_i1_inverses():
             assert delta1(i1(E(w))) == E(w)
 
 
+def _image(f, e):
+    try:
+        return repr([(w, c.coeffs) for w, c in f(e).terms.items()])
+    except DomainError:
+        return "DomainError"
+
+
+# sha256 of the images of every A-word of degree <= 6 and of two sums per degree under
+# the six maps, terms in the order the maps give them: that order sets the float
+# summation order of the L-values of delta0(e) and delta1(w) in dq_check
+MAP_IMAGE_DIGEST = "2a43335f38a053b9852d80d5af74b5e9bbfd903a797d03d5beea63a0a5e9a00b"
+
+
+def test_map_images_and_their_term_order_are_pinned():
+    lines = []
+    for f in (delta0, delta1, i0, i1, e_map, e_inv):
+        for m in range(7):
+            for w in a_words_of_degree(m):
+                lines.append("%s %r %s" % (f.__name__, w, _image(f, E(w))))
+            words = list(a_words_of_degree(m, admissible_only=True))
+            lines.append("%s sum%d %s" % (f.__name__, m, _image(f, Element((w, HPoly((i + 1, 1))) for i, w in enumerate(words)))))
+            z = [w for w in words if w and w[0] != XI]
+            lines.append("%s zsum%d %s" % (f.__name__, m, _image(f, Element((w, HPoly((i + 1, 1))) for i, w in enumerate(z)))))
+    assert len(lines) == 2346
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MAP_IMAGE_DIGEST
+
+
+# the words each map is defined on: constants and first letters
+MAP_DOMAINS = {
+    delta0: lambda w: not w or w[0] >= 2,
+    delta1: lambda w: not w or w[0] >= 1,
+    i0: lambda w: w and w[0] != 1,
+    i1: lambda w: w[:1] != (1,),
+    e_map: lambda w: w[:1] != (1,),
+    e_inv: lambda w: w[:1] != (1,),
+}
+
+
+def _domain_element(rng, in_domain):
+    e = rational_element(rng, 3, 4) + Element.unit().scale(rational_coeff(rng))
+    return Element((w, c) for w, c in e.terms.items() if in_domain(w))
+
+
+@property_examples(20)
+def test_maps_are_linear_over_rational_h_coefficients(rng):
+    c = rational_coeff(rng)
+    for f, in_domain in MAP_DOMAINS.items():
+        a, b = _domain_element(rng, in_domain), _domain_element(rng, in_domain)
+        assert f(a + b) == f(a) + f(b), f.__name__
+        assert f(a.scale(c)) == f(a).scale(c), f.__name__
+
+
+def _dq_check_at_half(e):
+    return dq_check(e, 0.5, QContext())
+
+
+@pytest.mark.parametrize("f", [delta0, delta1, i0, i1, e_map, e_inv, _dq_check_at_half], ids=lambda f: f.__name__)
+def test_x_y_r_elements_are_off_every_map_domain(f):
+    with pytest.raises(DomainError):
+        f(parse_element("x y"))
+
+
 def test_e_map_examples():
     assert e_map(Element.unit()) == Element.unit()
     assert e_map(E((XI, 2))) == E((XI, 2))
@@ -233,6 +304,7 @@ def test_phi_values():
     assert phi(1) == E((XI,))
     assert phi(2) == E((2,)) - E((XI,), H)
     assert phi(3) == E((3,)) - E((2,), H) + E((XI,), h_power(2))
+    assert list(_phi(3).items()) == [((XI,), 1), ((2,), -1), ((3,), 1)]
 
 
 def test_star_examples():
