@@ -1,18 +1,19 @@
 """Text form of algebra elements.
 
-Grammar (ASCII):
+Grammar (ASCII; whitespace between tokens is optional, so "2h z2" = "2*h*z2",
+and a run of '*' reads as one):
 
-    element := term (('+'|'-') term)*
-    term    := [coeff '*'] word | coeff
-    coeff   := rational with optional 'h^k' factors, '*'-joined
-    word    := letter (whitespace letter)*
-    letter  := 'x' | 'y' | 'r' | 'xi' | 'z'<positive integer>
+    element := ['+'|'-'] term (('+'|'-') term)*
+    term    := factor (['*'] factor)* [['*'] word] | word
+    factor  := rational | 'h' | 'h^'<integer>
+    word    := letter+ from one basis: A ('xi', 'z'<k >= 1>) or x/y/r ('x', 'y', 'r')
 
 'r' denotes the letter rho and 'h' the coefficient variable. A single
-expression must stay in one basis; rational-only expressions parse as
-A-basis constants, and parse_hpoly/format_hpoly read and write a lone
-coefficient in the same grammar. Printing is canonical: words in graded
-lexicographic order, each coefficient split into ascending powers of h.
+expression must stay in one basis; a term without a word is a multiple of
+that basis's unit word, the A-basis one when no term has a word.
+parse_hpoly/format_hpoly read and write a lone coefficient in the same
+grammar. Printing is canonical: words in graded lexicographic order, each
+coefficient split into ascending powers of h.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ def _tokenize(text):
                 k = int(m.group("zk"))
                 if k < 1:
                     raise ParseError("z subscript must be >= 1", pos)
-                tokens.append(("letter", k, pos))
+                tokens.append(("letter", (k,), pos))
             elif m.group("letter") == "xi":
-                tokens.append(("letter", XI, pos))
+                tokens.append(("letter", (XI,), pos))
             else:
                 tokens.append(("xletter", m.group("letter"), pos))
         elif m.group("h"):
@@ -68,83 +69,59 @@ def _tokenize(text):
     return tokens
 
 
+# What a token says when it follows a word of another type than its value: a factor, or a letter of the other basis
+_AFTER_WORD = {"rat": "number after word", "h": "h factor after word",
+               "letter": "A-letter inside an x/y/r word", "xletter": "x/y/r letter inside an A-word"}
+
+
 def parse_element(text):
     """Parse expression text into an Element (A-basis or x/y/r basis)."""
-    tokens = _tokenize(text)
+    return _parse_tokens(_tokenize(text), len(text))
+
+
+def _parse_tokens(tokens, end):
+    """The Element of a token list from _tokenize; end, the text length, is where a dangling '*' is reported."""
     if not tokens:
         raise ParseError("empty expression", 0)
-    terms = []
-    basis = None
-    i = 0
-    n = len(tokens)
-    first = True
+    terms, types, i, n = [], set(), 0, len(tokens)
     while i < n:
-        sign = 1
         kind, value, pos = tokens[i]
-        if kind == "op" and value in "+-":
-            sign = 1 if value == "+" else -1
+        coeff = Fraction(-1 if kind == "op" and value == "-" else 1)
+        if kind == "op" and value != "*":
             i += 1
-            if i >= n:
+            if i == n:
                 raise ParseError("dangling sign", pos)
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", pos)
-        coeff = Fraction(sign)
-        hpow = 0
-        word = None
-        word_basis = None
-        saw_anything = False
-        expect_factor = False
+        start, hpow, word, star = i, 0, None, False
         while i < n:
             kind, value, pos = tokens[i]
-            if kind == "op" and value in "+-" and not expect_factor:
-                break
-            if kind == "op" and value == "*":
-                if not saw_anything or word is not None:
+            if kind == "op":
+                if value != "*" and not star:
+                    break
+                if value != "*":
+                    raise ParseError("unexpected token", pos)
+                if i == start or word is not None:
                     raise ParseError("misplaced '*'", pos)
-                expect_factor = True
-                i += 1
-                continue
-            expect_factor = False
-            if kind == "rat":
-                if word is not None:
-                    raise ParseError("number after word", pos)
+            elif word is not None and type(value) is not type(word):
+                raise ParseError(_AFTER_WORD[kind], pos)
+            elif kind == "rat":
                 coeff *= value
             elif kind == "h":
-                if word is not None:
-                    raise ParseError("h factor after word", pos)
                 hpow += value
-            elif kind == "letter":
-                if word_basis == "x":
-                    raise ParseError("A-letter inside an x/y/r word", pos)
-                word_basis = "a"
-                word = ((value,) if word is None else word + (value,))
-            elif kind == "xletter":
-                if word_basis == "a":
-                    raise ParseError("x/y/r letter inside an A-word", pos)
-                word_basis = "x"
-                word = (value if word is None else word + value)
             else:
-                raise ParseError("unexpected token", pos)
-            saw_anything = True
+                word = value if word is None else word + value
+            star = kind == "op"
             i += 1
-        if not saw_anything:
-            raise ParseError("empty term", tokens[i][2] if i < n else len(text))
-        if expect_factor:
-            raise ParseError("dangling '*'", len(text))
-        if word_basis is not None:
-            if basis is None:
-                basis = word_basis
-            elif basis != word_basis:
+        if i == start:
+            raise ParseError("empty term", pos)
+        if star:
+            raise ParseError("dangling '*'", end)
+        if word is not None:
+            types.add(type(word))
+            if len(types) > 1:
                 raise ParseError("mixed A and x/y/r terms in one expression", pos)
-        hcoeff = HPoly((0,) * hpow + (coeff,)) if coeff else HPoly()
-        if word is None:
-            word = "__const__"
-        terms.append((word, hcoeff))
-        first = False
-    if basis is None:
-        basis = "a"
-    unit = () if basis == "a" else ""
-    return Element((unit if w == "__const__" else w, c) for w, c in terms)
+        terms.append((word, HPoly((0,) * hpow + (coeff,)) if coeff else HPoly()))
+    unit = "" if str in types else ()
+    return Element((unit if w is None else w, c) for w, c in terms)
 
 
 def letter_name(u):
@@ -192,12 +169,13 @@ def parse_hpoly(text):
     """Parse coefficient text like "1 - 2*h + 3/4*h^2" into an HPoly.
 
     The grammar is parse_element's without letters: terms in any order, each
-    a '*'-joined product of rationals and powers of h.
+    a product of rationals and powers of h joined by '*' or spaces.
     """
-    for kind, _, pos in _tokenize(text):
+    tokens = _tokenize(text)
+    for kind, _, pos in tokens:
         if kind in ("letter", "xletter"):
             raise ParseError("letter in a coefficient", pos)
-    return parse_element(text).coeff(())
+    return _parse_tokens(tokens, len(text)).coeff(())
 
 
 def format_hpoly(p):

@@ -24,6 +24,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DomainError
+from .expr import format_word, letter_name
 from .hpoly import HPoly, ONE, h_power
 from .words import _RHO_EXPANSION, XI, Element, _accumulate, _collect, _raw, membership, word_degree
 
@@ -182,16 +183,18 @@ def shuffle(e1, e2, cache=None):
     return _bilinear(e1, e2, _SHUFFLE, {} if cache is None else cache)
 
 
-def _leading_map(e, domain, image):
+def _leading_map(e, name, image):
     """Sum of coeff c head tail over the terms coeff letter tail of e and the (head, HPoly c) pairs in image(letter).
 
-    image(None) is the empty word's image; None means off the domain, where every x/y/r word lies too.
+    image(None) is the empty word's image; None means off the domain of the map called name, where
+    every x/y/r word lies too.
     """
     out = {}
     for word, coeff in e.terms.items():
         pairs = image(word[0] if word else None) if type(word) is tuple else None
         if pairs is None:
-            raise DomainError(domain % (word,))
+            cause = "x/y/r words" if type(word) is str else ("words led by " + letter_name(word[0])) if word else "the empty word"
+            raise DomainError("%s is undefined on %s, got %r" % (name, cause, format_word(word)))
         tail = word[1:]
         for head, c in pairs:
             _accumulate(out, head + tail, coeff if c is ONE else coeff * c)
@@ -214,7 +217,7 @@ def delta0(e):
     """
     return _leading_map(
         e,
-        "delta0 needs z_k-leading words with k >= 2, got %s",
+        "delta0",
         lambda k: () if k is None else None if k < 2 else (((XI,) if k == 2 else (k - 1,), ONE),),
     )
 
@@ -227,7 +230,7 @@ def delta1(e):
     """
     return _leading_map(
         e,
-        "delta1 needs z_k-leading words, got %s",
+        "delta1",
         lambda k: _UNIT if k is None else None if k < 1 else _z_sum(k, 2, 1, _neg_h_power) + [((XI,), _neg_h_power(k - 1))],
     )
 
@@ -236,7 +239,7 @@ def i0(e):
     """Raise the leading letter: xi w -> z_2 w, z_k w -> z_{k+1} w (k >= 2)."""
     return _leading_map(
         e,
-        "i0 needs xi- or z_{k>=2}-leading words, got %s",
+        "i0",
         lambda k: None if k is None or k == 1 else (((2,) if k == XI else (k + 1,), ONE),),
     )
 
@@ -249,13 +252,12 @@ def i1(e):
     """
     return _leading_map(
         e,
-        "i1 is undefined on z_1-leading words: %s",
+        "i1",
         lambda k: _UNIT if k is None else (((1,), ONE),) if k == XI else None if k == 1 else _z_sum(k, 1, 1, h_power),
     )
 
 
 _E_FIXED = {None: _UNIT, XI: (((XI,), ONE),)}  # e and e_inv fix 1 and the xi-leading words
-_E_DOMAIN = "map needs admissible words, got %s"
 
 
 def e_map(e):
@@ -263,12 +265,12 @@ def e_map(e):
 
     e(1) = 1, e(xi w) = xi w, e(z_k w) = (sum_{a=2}^{k} C(k-2,a-2) h^{k-a} z_a) w.
     """
-    return _leading_map(e, _E_DOMAIN, lambda k: None if k == 1 else _E_FIXED.get(k) or _z_sum(k, 2, 2, h_power))
+    return _leading_map(e, "e_map", lambda k: None if k == 1 else _E_FIXED.get(k) or _z_sum(k, 2, 2, h_power))
 
 
 def e_inv(e):
     """Inverse of e_map; same formula with (-h)^{k-a}."""
-    return _leading_map(e, _E_DOMAIN, lambda k: None if k == 1 else _E_FIXED.get(k) or _z_sum(k, 2, 2, _neg_h_power))
+    return _leading_map(e, "e_inv", lambda k: None if k == 1 else _E_FIXED.get(k) or _z_sum(k, 2, 2, _neg_h_power))
 
 
 def _phi(k):

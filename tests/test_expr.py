@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from qmzv.errors import ParseError
 from qmzv.hpoly import H, HPoly, ONE, h_power
 from qmzv.words import XI, Element, a_words_of_degree
-from qmzv.expr import format_element, parse_element
+from qmzv.expr import format_element, parse_element, parse_hpoly
 
 
 def test_parse_basic_terms():
@@ -95,3 +96,56 @@ def test_round_trip_random_elements():
 def test_round_trip_x_basis():
     e = Element({"xy": ONE, "r": -H, "yy": HPoly((0, 0, 3))})
     assert parse_element(format_element(e)) == e
+
+
+# The reader's language, pinned over a seeded corpus: strings of 0-10 fragments from
+# CORPUS_FRAGMENTS, each read to its Element's (word, coefficients) pairs in dict order
+# (z_q sums the terms in that order) or to its ParseError text and position.
+CORPUS_FRAGMENTS = ("z1", "z2", "z13", "xi", "x", "y", "r", "h", "h^2", "2", "3/4", "0", "1/0", "z0", "+", "-", "*", " ", "\t", "?")
+CORPUS_SIZE = 5000
+PARSE_ELEMENT_DIGEST = "0a8900d598fec27b93b271eb0a99b8759eda25d6b1b4ce03acaf854169139275"
+PARSE_HPOLY_DIGEST = "d7520243bd81bedca0b342a131807a86088b2a7db5a29639c1ace646098f6a2a"
+PARSE_ERROR_TEXTS = {
+    "unexpected character",
+    "z subscript must be >= 1",
+    "zero denominator",
+    "empty expression",
+    "dangling sign",
+    "empty term",
+    "misplaced '*'",
+    "dangling '*'",
+    "unexpected token",
+    "number after word",
+    "h factor after word",
+    "A-letter inside an x/y/r word",
+    "x/y/r letter inside an A-word",
+    "mixed A and x/y/r terms in one expression",
+}
+
+
+def _corpus():
+    rng = random.Random(0)
+    return ["".join(rng.choice(CORPUS_FRAGMENTS) for _ in range(rng.randint(0, 10))) for _ in range(CORPUS_SIZE)]
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ParseError as err:
+        return "%s @%s" % (err, err.position)
+    if isinstance(value, HPoly):
+        return repr(value.coeffs)
+    return repr([(w, c.coeffs) for w, c in value.terms.items()])
+
+
+def _digest(outcomes):
+    return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+
+
+def test_reader_outcomes_on_a_seeded_corpus_are_pinned():
+    texts = _corpus()
+    outcomes = [_outcome(parse_element, text) for text in texts]
+    assert _digest(outcomes) == PARSE_ELEMENT_DIGEST
+    assert _digest(_outcome(parse_hpoly, text) for text in texts) == PARSE_HPOLY_DIGEST
+    errors = {o.split(" (at position")[0] for o in outcomes if " @" in o}
+    assert {"unexpected character" if e.startswith("unexpected character") else e for e in errors} == PARSE_ERROR_TEXTS

@@ -274,6 +274,32 @@ def test_x_y_r_elements_are_off_every_map_domain(f):
         f(parse_element("x y"))
 
 
+# each map off its domain: on an x/y/r word, and on each constant or first letter it excludes
+MAP_DOMAIN_ERRORS = [
+    (delta0, "x y", "delta0 is undefined on x/y/r words, got 'x y'"),
+    (delta0, "z1 z2", "delta0 is undefined on words led by z1, got 'z1 z2'"),
+    (delta0, "xi", "delta0 is undefined on words led by xi, got 'xi'"),
+    (delta1, "y", "delta1 is undefined on x/y/r words, got 'y'"),
+    (delta1, "xi z2", "delta1 is undefined on words led by xi, got 'xi z2'"),
+    (i0, "x r", "i0 is undefined on x/y/r words, got 'x r'"),
+    (i0, "1", "i0 is undefined on the empty word, got ''"),
+    (i0, "z1", "i0 is undefined on words led by z1, got 'z1'"),
+    (i1, "x y", "i1 is undefined on x/y/r words, got 'x y'"),
+    (i1, "z1 xi", "i1 is undefined on words led by z1, got 'z1 xi'"),
+    (e_map, "1 + x y", "e_map is undefined on x/y/r words, got ''"),
+    (e_map, "z1", "e_map is undefined on words led by z1, got 'z1'"),
+    (e_inv, "r", "e_inv is undefined on x/y/r words, got 'r'"),
+    (e_inv, "z2 + z1 z1", "e_inv is undefined on words led by z1, got 'z1 z1'"),
+]
+
+
+@pytest.mark.parametrize("f, text, message", MAP_DOMAIN_ERRORS, ids=["%s(%s)" % (f.__name__, t) for f, t, _ in MAP_DOMAIN_ERRORS])
+def test_map_domain_errors_name_the_map_the_cause_and_the_word(f, text, message):
+    with pytest.raises(DomainError) as err:
+        f(parse_element(text))
+    assert str(err.value) == message
+
+
 def test_e_map_examples():
     assert e_map(Element.unit()) == Element.unit()
     assert e_map(E((XI, 2))) == E((XI, 2))
