@@ -3,7 +3,8 @@
 Subcommands: product, eval, polylog, relations, dims, verify, hoffman.
 Data goes to stdout (or --out), progress and diagnostics to stderr.
 Exit codes: 0 success, 1 verification failure or an eval/polylog tail bound
-above --tol (the value is still printed), 2 usage/parse/domain error.
+above --tol (the value is still printed), 2 usage/parse/domain error, float
+overflow or the recursion limit.
 """
 
 from __future__ import annotations
@@ -118,9 +119,7 @@ def build_parser():
 
 
 def _value_text(value):
-    if isinstance(value, complex):
-        return "%.15g%+.15gi" % (value.real, value.imag)
-    return "%.15g" % float(value)
+    return "%.15g" % value
 
 
 def _format_index(ix):
@@ -281,6 +280,11 @@ DISPATCH = {
 }
 
 
+def _usage_error(message):
+    print("error: %s" % (message,), file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -291,8 +295,11 @@ def main(argv=None):
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(body + "\n")
     except (QmzvError, OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _usage_error(exc)
+    except OverflowError:
+        return _usage_error("float overflow in the series; try a smaller q, t or subscript")
+    except RecursionError:
+        return _usage_error("the recursion limit was reached: a shuffle goes one level deeper per x/y/r letter")
     if not args.out:
         print(body)
         if summary and args.json:

@@ -5,12 +5,14 @@ and a run of '*' reads as one):
 
     element := ['+'|'-'] term (('+'|'-') term)*
     term    := factor (['*'] factor)* [['*'] word] | word
-    factor  := rational | 'h' | 'h^'<integer>
+    factor  := rational | 'h' | 'h^'<integer <= 1000>
     word    := letter+ from one basis: A ('xi', 'z'<k >= 1>) or x/y/r ('x', 'y', 'r')
 
 'r' denotes the letter rho and 'h' the coefficient variable. A single
 expression must stay in one basis; a term without a word is a multiple of
-that basis's unit word, the A-basis one when no term has a word.
+that basis's unit word, the A-basis one when no term has a word. The bound
+1000 on h exponents is words.MAX_PART, so a short text cannot ask for a dense
+coefficient of any degree.
 parse_hpoly/format_hpoly read and write a lone coefficient in the same
 grammar. Printing is canonical: words in graded lexicographic order, each
 coefficient split into ascending powers of h.
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .hpoly import HPoly
-from .words import XI, Element, word_sort_key
+from .words import MAX_PART, XI, Element, word_sort_key
 
 _TOKEN_RE = re.compile(
     r"""(?P<letter>xi|z(?P<zk>\d+)|[xyr])
@@ -57,7 +59,10 @@ def _tokenize(text):
             else:
                 tokens.append(("xletter", m.group("letter"), pos))
         elif m.group("h"):
-            tokens.append(("h", int(m.group("hk") or 1), pos))
+            k = int(m.group("hk") or 1)
+            if k > MAX_PART:
+                raise ParseError("h exponent above %d" % MAX_PART, pos)
+            tokens.append(("h", k, pos))
         elif m.group("rat"):
             try:
                 tokens.append(("rat", Fraction(m.group("rat")), pos))

@@ -189,8 +189,8 @@ def _rational(u, m, bound):
 
 def crt_step(x, m, residues, p):
     """(y, m p) with y = x mod m and y = residues (float64, as rref_mod gives them) mod p entrywise, 0 <= y < m p; x may be 0 with m = 1."""
-    r = residues.astype(np.int64).astype(object)
-    return x + m * ((r - x % p) * pow(m, -1, p) % p), m * p
+    d = (residues.astype(np.int64) - np.asarray(x % p, dtype=np.int64)) % p
+    return x + m * (d * pow(m, -1, p) % p).astype(object), m * p  # int64: d and the inverse are below p, their product below 2^46
 
 
 def reconstruct(cols, non, x, m, ncols):

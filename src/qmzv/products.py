@@ -7,10 +7,10 @@ run one memoised quasi-shuffle word recursion, given a rule: the letter
 correction as an integer word dict (_circle for harmonic, _ALPHA for the
 shuffles), how a word splits off its first letter, and how a letter is
 written back in front. Harmonic and shuffle_x split off the word's own first
-letter. Shuffle splits an A-word into x/y/r letters (xi = y - r,
-z_k = x^(k-1) y) and contracts each prefix at once (r = z_1 - xi), so it
-equals contract_to_a(shuffle_x(expand_to_x(a), expand_to_x(b))) without
-leaving the A-basis. Star is the shuffle transported through e,
+letter. Shuffle splits an A-word into x/y/r letters and contracts each
+prefix at once, by the encoding words.py states (_xyr_split, _contracted),
+so it equals contract_to_a(shuffle_x(expand_to_x(a), expand_to_x(b)))
+without leaving the A-basis. Star is the shuffle transported through e,
 star(a, b) = e_inv(e(a) sh e(b)). The products accept an optional cache
 dict, one per product, keyed by word pairs: A-word pairs for harmonic,
 shuffle and star, x/y/r word pairs for shuffle_x. Passing one across calls
@@ -26,7 +26,7 @@ from math import comb
 from .errors import DomainError
 from .expr import format_word, letter_name
 from .hpoly import HPoly, ONE, h_power
-from .words import _RHO_EXPANSION, XI, Element, _accumulate, _collect, _raw, membership, word_degree
+from .words import MAX_PART, XI, Element, _accumulate, _collect, _contracted, _raw, _xyr_split, membership, word_degree
 
 
 def _neg_h_power(j):
@@ -88,34 +88,6 @@ def _first_letter(w):
 def _concatenated(c, m, terms):
     """m c t for each term t of {word: n}, by concatenation."""
     return [(c + w, m * n) for w, n in terms.items()]
-
-
-def _xyr_split(w):
-    """The split of an A-word into x/y/r letters: z_k u = x z_(k-1)u (k >= 2), z_1 u = y u, xi u = y u - r u."""
-    k, rest = w[0], w[1:]
-    if k >= 2:
-        return (("x", (k - 1,) + rest, 1),)
-    if k == 1:
-        return (("y", rest, 1),)
-    return (("y", rest, 1), ("r", rest, -1))
-
-
-def _contracted(c, m, terms):
-    """m c t for each term t of {A-word: n} and an x/y/r word c, contracted letter by letter from the right.
-
-    y t = z_1 t and r t = z_1 t - xi t; x raises the first letter (xi, z_k -> z_2, z_(k+1)) and
-    sends 1 to 0. This contraction is 0 on every x/y/r word that does not split into blocks
-    x^(k-1)y and r (x r t, a trailing x); a shuffle of two expanded A-words has no such term.
-    """
-    out = [(w, m * n) for w, n in terms.items()]
-    for letter in reversed(c):
-        if letter == "y":
-            out = [((1,) + w, n) for w, n in out]
-        elif letter == "r":
-            out = [(v + w, s * n) for w, n in out for v, s in _RHO_EXPANSION]
-        else:
-            out = [((w[0] + 1 if w[0] else 2,) + w[1:], n) for w, n in out if w]
-    return out
 
 
 def _circle(a, b):
@@ -289,10 +261,14 @@ def star(e1, e2, cache=None):
     """The star product on the admissible span, transported from the shuffle.
 
     Both inputs must lie in the span of constants and admissible-start
-    words. Satisfies e_map(star(a, b)) = shuffle(e_map(a), e_map(b)); cache
-    is the shuffle's, of A-word pairs.
+    words, with letters up to z_MAX_PART: e_map writes z_k as k - 1 terms
+    with coefficients up to h^(k-2), and no shuffle on a letter past it
+    finishes. Satisfies e_map(star(a, b)) = shuffle(e_map(a), e_map(b));
+    cache is the shuffle's, of A-word pairs.
     """
     for e in (e1, e2):
         if not membership(e, "H0hat"):
             raise DomainError("star needs admissible-span inputs")
+        if any(u > MAX_PART for w in e.terms for u in w):
+            raise DomainError("star needs letters up to z%d, past which its shuffle cannot finish" % MAX_PART)
     return e_inv(shuffle(e_map(e1), e_map(e2), cache))

@@ -9,7 +9,8 @@ The ambient alphabet is {x, y, r} (r prints the letter rho). An x/y/r word
 is stored as a plain string over "xyr", each letter of degree 1. The two
 bases are linked by xi = y - r and z_k = x^(k-1) y; in the other direction
 r = z_1 - xi, so contraction is exact on the span of block-decomposable
-words.
+words. _xyr_split and _contracted state this encoding once, for the
+translations here and the A-word shuffle of products.py.
 
 Linear combinations carry HPoly coefficients and are held in Element, which
 works for both bases since tuples and strings share concatenation.
@@ -29,6 +30,12 @@ RHO = -1  # evaluation-only letter handle; never stored inside A-words
 X_LETTERS = "xyr"
 
 SPACES = ("H0hat", "H0", "H0tilde", "Hge1", "Hge2")
+
+# The largest h exponent and index part read from text, and z subscript a star takes. The shuffle
+# recursion goes one level deeper per x/y/r letter and z_k is k of them, so under Python's recursion
+# limit no shuffle or star on a letter past z_1000 can finish; the bound stops a short argument
+# (h^1000000000, the index 100000) from asking for a dense polynomial or a sum that long.
+MAX_PART = 1000
 
 
 def letter_degree(u):
@@ -245,6 +252,7 @@ def index_to_text(parts):
 
 
 def index_from_text(text):
+    """The index of comma-separated text such as "2,1"; ValueError on a part below 1 or above MAX_PART."""
     text = text.strip()
     if not text:
         return ()
@@ -254,34 +262,57 @@ def index_from_text(text):
         raise ValueError("bad index text %r" % (text,)) from exc
     if any(k < 1 for k in parts):
         raise ValueError("index parts must be positive: %r" % (text,))
+    if max(parts) > MAX_PART:
+        raise ValueError("index parts must be at most %d: %r" % (MAX_PART, text))
     return parts
 
 
-# xi = y - r and r = z_1 - xi as (word, sign) pairs; an x/y/r word is a string of blocks x^(k-1)y and r.
-_XI_EXPANSION = (("y", 1), ("r", -1))
+# r = z_1 - xi as (A-word, sign) pairs; an x/y/r word in H1 is a string of blocks x^(k-1)y and r.
 _RHO_EXPANSION = (((1,), 1), ((XI,), -1))
 _X_BLOCK = re.compile("x*y|r")
 
 
-def _signed_products(factors, unit):
-    """Every concatenation of one (word, sign) alternative per factor, with its sign."""
-    partial = [(unit, 1)]
-    for alternatives in factors:
-        partial = [(w + u, s * t) for w, s in partial for u, t in alternatives]
-    return partial
+def _xyr_split(w):
+    """The split of an A-word into x/y/r letters: z_k u = x z_(k-1)u (k >= 2), z_1 u = y u, xi u = y u - r u."""
+    k, rest = w[0], w[1:]
+    if k >= 2:
+        return (("x", (k - 1,) + rest, 1),)
+    if k == 1:
+        return (("y", rest, 1),)
+    return (("y", rest, 1), ("r", rest, -1))
+
+
+def _contracted(c, m, terms):
+    """m c t for each term t of {A-word: n} and an x/y/r word c, contracted letter by letter from the right.
+
+    y t = z_1 t and r t = z_1 t - xi t; x raises the first letter (xi, z_k -> z_2, z_(k+1)) and
+    sends 1 to 0. This contraction is 0 on every x/y/r word that does not split into blocks
+    x^(k-1)y and r (x r t, a trailing x); a shuffle of two expanded A-words has no such term.
+    """
+    out = [(w, m * n) for w, n in terms.items()]
+    for letter in reversed(c):
+        if letter == "y":
+            out = [((1,) + w, n) for w, n in out]
+        elif letter == "r":
+            out = [(v + w, s * n) for v, s in _RHO_EXPANSION for w, n in out]  # leftmost letter varies slowest
+        else:
+            out = [((w[0] + 1 if w[0] else 2,) + w[1:], n) for w, n in out if w]
+    return out
 
 
 def expand_word(word):
     """Yield the x/y/r expansion of one A-word as (word, +-1) pairs: xi -> y - r, z_k -> x^(k-1)y."""
-    yield from _signed_products([_XI_EXPANSION if u == XI else (("x" * (u - 1) + "y", 1),) for u in word], "")
+    out = [("", word, 1)]
+    for _ in range(word_degree(word)):  # every branch reads one letter of degree 1 per step
+        out = [(x + u, rest, s * t) for x, w, s in out for u, rest, t in _xyr_split(w)]
+    yield from ((x, s) for x, _, s in out)
 
 
 def contract_word(word):
     """Yield (A-word, +-1) pairs expanding an x/y/r word: x^(k-1)y -> z_k, r -> z_1 - xi; NotInH1 off those."""
-    blocks = _X_BLOCK.findall(word)
-    if sum(map(len, blocks)) != len(word):
+    if sum(map(len, _X_BLOCK.findall(word))) != len(word):
         raise NotInH1("x-run not followed by y in %r" % (word,))
-    yield from _signed_products([_RHO_EXPANSION if b == "r" else (((len(b),), 1),) for b in blocks], ())
+    yield from _contracted(word, 1, {(): 1})
 
 
 def expand_to_x(e):
@@ -345,11 +376,7 @@ def _accumulate(data, word, coeff):
 
 def xi_rho_times(r, e):
     """Left-multiply an A-element by xi r^r, expanded in the A-basis."""
-    prefix = Element.from_word((XI,))
-    rho = Element(_RHO_EXPANSION)
-    for _ in range(r):
-        prefix = prefix * rho
-    return prefix * e
+    return Element(((XI,) + w, c) for w, c in _contracted("r" * r, 1, e.terms))
 
 
 def a_words_of_degree(m, admissible_only=False):

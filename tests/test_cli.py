@@ -78,6 +78,25 @@ def test_input_outside_the_domain_exits_2_with_a_message(argv):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (("eval", "z160", "--q", "99/100"), "float overflow"),
+        (("polylog", "z1100", "--t", "1/2"), "float overflow"),
+        (("product", "shuffle", "z999", "z999"), "recursion limit"),
+        (("product", "shuffle", "z3000", "z2"), "recursion limit"),
+        (("product", "star", "z1001", "z2"), "letters up to z1000"),
+        (("eval", "h^1000000000"), "h exponent above 1000"),
+        (("hoffman", "100000"), "at most 1000"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_overflow_recursion_and_oversized_parts_exit_2_with_one_line(argv, cause):
+    proc = _run(*argv, expect=2)
+    assert proc.stderr.startswith("error: ") and cause in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
 def test_small_commands_do_not_import_numpy(tmp_path):
     doc = str(tmp_path / "w3.json")
     script = (

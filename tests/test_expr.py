@@ -63,6 +63,14 @@ def test_parse_errors():
         assert "position" in str(err)
 
 
+@pytest.mark.parametrize("text, position", [("z2 + 3 h^1001 z2", 7), ("h^1000000000", 0)])
+def test_parse_bounds_h_exponents(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_element(text)
+    assert err.value.position == position and "h exponent above 1000" in str(err.value)
+    assert parse_element("h^1000 z2").terms == {(2,): HPoly((0,) * 1000 + (1,))}
+
+
 def test_format_canonical_order_and_signs():
     e = Element([((2,), ONE), ((XI,), -H), ((XI, XI), HPoly((2,)))])
     assert format_element(e) == "-h*xi + 2*xi xi + z2"

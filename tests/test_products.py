@@ -338,6 +338,8 @@ def test_star_examples():
     assert star(E((2,)), Element.unit()) == E((2,))
     with pytest.raises(DomainError):
         star(E((1,)), E((2,)))
+    with pytest.raises(DomainError, match="letters up to z1000"):
+        star(E((2,)), E((XI, 1001)))
 
 
 def test_star_transport_through_e():

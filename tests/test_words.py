@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -142,6 +143,9 @@ def test_index_word_round_trip():
     assert index_to_text((2, 1)) == "2,1"
     with pytest.raises(ValueError):
         index_from_text("2,x")
+    assert index_from_text("1000") == (1000,)
+    with pytest.raises(ValueError, match="at most 1000"):
+        index_from_text("2,1001")
 
 
 def test_word_counts_match_transfer_recurrence():
@@ -250,3 +254,32 @@ def test_xi_rho_times_degree():
     e = xi_rho_times(2, Element.unit())
     assert element_weight(e) == 3
     assert all(w[0] == XI for w in e.terms)
+
+
+def _translation_lines():
+    """One line per expand_word, contract_word and xi_rho_times output, terms in the order they come."""
+    lines = []
+    for m in range(8):
+        for w in a_words_of_degree(m):
+            xs = list(expand_word(w))
+            lines.append("%r -> %r" % (w, xs))
+            lines += ["%r -> %r" % (x, list(contract_word(x))) for x, _ in xs]
+    mixed = [
+        Element.unit(),
+        Element.from_word((1, XI)),
+        Element([((2, 1), ONE), ((XI, 3), HPoly((0, Fraction(-2, 3)))), ((), HPoly((Fraction(1, 2),)))]),
+        Element([((XI, XI), HPoly((3, -1))), ((1,), H), ((4,), HPoly((-5,)))]),
+    ]
+    for r in range(4):
+        for e in mixed:
+            lines.append("%d %r" % (r, [(w, c.coeffs) for w, c in xi_rho_times(r, e).terms.items()]))
+    return lines
+
+
+# sha256 of _translation_lines(), recorded while expand_word and contract_word still built whole-word
+# products of per-letter alternatives; the letter-by-letter translation must keep every term's place.
+TRANSLATION_ORDER_DIGEST = "9b85ef7235fd6a04a82eaba2992523dd305670b7430800bc511b2b3d77abc470"
+
+
+def test_translation_keeps_its_term_order():
+    assert hashlib.sha256("\n".join(_translation_lines()).encode()).hexdigest() == TRANSLATION_ORDER_DIGEST
