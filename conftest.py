@@ -3,6 +3,14 @@
 from __future__ import annotations
 
 import gc
+import os
+import sys
+
+# The suites import qmzv from this checkout's src/ without an install; the
+# `python -m qmzv` subprocesses of the tests find it through PYTHONPATH.
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 def pytest_collection_finish(session):

@@ -4,13 +4,15 @@ Subcommands: product, eval, polylog, relations, dims, verify, hoffman.
 Data goes to stdout (or --out), progress and diagnostics to stderr.
 Exit codes: 0 success, 1 verification failure or an eval/polylog tail bound
 above --tol (the value is still printed), 2 usage/parse/domain error, float
-overflow or the recursion limit.
+overflow or the recursion limit, 141 when the reader of stdout or stderr
+closed its pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -51,7 +53,7 @@ def _t_arg(text):
 
 
 def _n_arg(text):
-    return _checked(int, text, lambda n: n >= 10, "N must be an integer >= 10")
+    return _checked(int, text, lambda n: 10 <= n <= 100_000, "N must be an integer between 10 and 100000")
 
 
 def _tol_arg(text):
@@ -69,7 +71,7 @@ def _add_output(sp):
 
 def _add_context(sp):
     sp.add_argument("--q", type=_q_arg, default=Fraction(1, 2), help="rational with 0 < q < 1 (default 1/2)")
-    sp.add_argument("--N", type=_n_arg, default=300, help="truncation bound, >= 10 (default 300)")
+    sp.add_argument("--N", type=_n_arg, default=300, help="truncation bound, 10 to 100000; memory grows linearly with it (default 300)")
     sp.add_argument("--tol", type=_tol_arg, default=1e-10, help="verification tolerance; eval and polylog exit 1 when the tail bound exceeds it (default 1e-10)")
 
 
@@ -118,10 +120,6 @@ def build_parser():
     return parser
 
 
-def _value_text(value):
-    return "%.15g" % value
-
-
 def _format_index(ix):
     return index_to_text(ix) or "()"
 
@@ -143,28 +141,24 @@ def cmd_product(args):
     return text, {"kind": args.kind, "result": text}, None, 0
 
 
-def _tail_code(res, args):
-    """0 when the tail bound is within --tol; otherwise 1, with a note on stderr."""
-    if res.tail_bound <= args.tol:
-        return 0
-    print("tail bound %.3g exceeds --tol %.3g; raise --N" % (res.tail_bound, args.tol), file=sys.stderr)
-    return 1
+def _series_output(res, args, t_doc):
+    """Text, document and exit code of a series value; the code is 1, with a note on stderr, when the tail bound exceeds --tol."""
+    value = "%.15g" % res.value
+    doc = {"value": value, "tail_bound": res.tail_bound, "certified": res.certified, **t_doc, "q": str(args.q), "N": args.N}
+    code = 0 if res.tail_bound <= args.tol else 1
+    if code:
+        print("tail bound %.3g exceeds --tol %.3g; raise --N" % (res.tail_bound, args.tol), file=sys.stderr)
+    return "%s ± %.3g" % (value, res.tail_bound), doc, None, code
 
 
 def cmd_eval(args):
     ctx = QContext(q=args.q, N=args.N, tol=args.tol)
-    res = z_q(parse_element(args.expr), ctx)
-    text = "%s ± %.3g" % (_value_text(res.value), res.tail_bound)
-    doc = {"value": _value_text(res.value), "tail_bound": res.tail_bound, "certified": res.certified, "q": str(args.q), "N": args.N}
-    return text, doc, None, _tail_code(res, args)
+    return _series_output(z_q(parse_element(args.expr), ctx), args, {})
 
 
 def cmd_polylog(args):
     ctx = QContext(q=args.q, N=args.N, tol=args.tol)
-    res = l_value(parse_element(args.expr), args.t, ctx)
-    text = "%s ± %.3g" % (_value_text(res.value), res.tail_bound)
-    doc = {"value": _value_text(res.value), "tail_bound": res.tail_bound, "certified": res.certified, "t": str(args.t), "q": str(args.q), "N": args.N}
-    return text, doc, None, _tail_code(res, args)
+    return _series_output(l_value(parse_element(args.expr), args.t, ctx), args, {"t": str(args.t)})
 
 
 def cmd_relations(args):
@@ -289,11 +283,24 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: exit quietly, as a SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot fail again
+        return 141
+    return code
+
+
+def _run(args):
+    """Run one parsed command and write its payload; its exit code, or 2 after one error line."""
+    try:
         text, doc, summary, code = DISPATCH[args.cmd](args)
         body = json.dumps(doc, indent=2) if args.json else text
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(body + "\n")
+    except BrokenPipeError:  # an OSError, but not a usage error: main handles it
+        raise
     except (QmzvError, OSError, ValueError) as exc:
         return _usage_error(exc)
     except OverflowError:

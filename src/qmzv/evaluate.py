@@ -47,16 +47,10 @@ class QContext:
     def __post_init__(self):
         if self.mode not in ("float", "exact"):
             raise ValueError("mode must be 'float' or 'exact'")
-        if isinstance(self.q, complex):
-            if self.mode == "exact":
-                raise ValueError("exact mode needs rational q")
-            if not 0.0 < abs(self.q) < 1.0:
-                raise ValueError("need 0 < |q| < 1")
-        else:
-            if not 0.0 < abs(float(self.q)) < 1.0:
-                raise ValueError("need 0 < |q| < 1")
-            if self.mode == "exact" and not isinstance(self.q, (int, Fraction)):
-                raise ValueError("exact mode needs rational q")
+        if not 0.0 < abs(complex(self.q)) < 1.0:
+            raise ValueError("need 0 < |q| < 1")
+        if self.mode == "exact" and not isinstance(self.q, (int, Fraction)):
+            raise ValueError("exact mode needs rational q")
         if not isinstance(self.N, int) or isinstance(self.N, bool):
             raise TypeError("truncation bound N must be an int")
         if self.N < 2:
@@ -64,14 +58,16 @@ class QContext:
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
 
+    def _working(self, x):
+        """x in the working arithmetic: a Fraction in exact mode, otherwise a float unless x is complex."""
+        if self.mode == "exact":
+            return Fraction(x)
+        return x if isinstance(x, complex) else float(x)
+
     @property
     def q_value(self):
         """q in the working arithmetic of the context."""
-        if self.mode == "exact":
-            return Fraction(self.q)
-        if isinstance(self.q, complex):
-            return self.q
-        return float(self.q)
+        return self._working(self.q)
 
     @property
     def certified(self):
@@ -222,11 +218,8 @@ class _ExactTables(_Tables):
     def _powers(self, k):
         """(c_n^k, prod_{0<m<n} c_m^k) for n = 0..N, built once per k."""
         if k not in self.powers:
-            cpow, prods, acc = [c**k for c in self.c], [1] * (self.N + 1), 1
-            for n in range(2, self.N + 1):
-                acc *= cpow[n - 1]
-                prods[n] = acc
-            self.powers[k] = cpow, prods
+            cpow = [c**k for c in self.c]
+            self.powers[k] = cpow, [1, *accumulate(cpow[1 : self.N], mul, initial=1)]
         return self.powers[k]
 
     def _integer_letter(self, u):
@@ -306,6 +299,8 @@ def f_word(w, N, ctx):
 
 def _word_sum(e, ctx, tables, t=None):
     """(value, tail bound) of Z_q(e), or of L_e(t) when t is given: one table read and one binom_tail per word."""
+    if not membership(e, "H0hat"):
+        raise DomainError("%s needs an element of the admissible span" % ("z_q" if t is None else "l_value"))
     tables = _suffix_tables(ctx, tables)
     hval = 1 - ctx.q_value
     x = abs(ctx.q_value if t is None else t)
@@ -330,8 +325,6 @@ def z_q(e, ctx, tables=None):
     supplies it, the others are bounded by 1 for real q in (0,1)), and there
     are C(n-1, r-1) of them, so binom_tail bounds the dropped tail.
     """
-    if not membership(e, "H0hat"):
-        raise DomainError("z_q needs an element of the admissible span")
     return EvalResult(*_word_sum(e, ctx, tables), ctx.certified)
 
 
@@ -354,12 +347,7 @@ def l_value(e, t, ctx, tables=None):
     """
     if not abs(t) < 1:
         raise DomainError("l_value needs |t| < 1")
-    if not membership(e, "H0hat"):
-        raise DomainError("l_value needs an element of the admissible span")
-    if ctx.mode == "exact":
-        t = Fraction(t)
-    elif not isinstance(t, complex):
-        t = float(t)
+    t = ctx._working(t)
     certified = ctx.certified and not isinstance(t, complex) and 0 < t < 1
     return EvalResult(*_word_sum(e, ctx, tables, t), certified)
 
@@ -385,11 +373,7 @@ def dq_check(e, t, ctx):
     if not 0 < abs(t) < 1:
         raise DomainError("dq_check needs 0 < |t| < 1")
     part2, buckets = decompose_h0hat(e)
-    q = ctx.q_value
-    if ctx.mode == "exact":
-        t = Fraction(t)
-    elif not isinstance(t, complex):
-        t = float(t)
+    q, t = ctx.q_value, ctx._working(t)
     tables = _suffix_tables(ctx)
     lhs = (l_value(e, t, ctx, tables).value - l_value(e, q * t, ctx, tables).value) / ((1 - q) * t)
     if not buckets:

@@ -173,15 +173,8 @@ def gen_hoffman(index):
 
 
 def _strip_content(row):
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _eliminate(row, piv, c):
@@ -330,13 +323,15 @@ def _int_echelon(int_rows, ncols):
         retry = pivots is not None  # a failed certificate: the next prime reduces every row
 
 
+def _cleared(fracs):
+    """(den, {key: den * x}) for a dict {key: Fraction}, den the lcm of the denominators."""
+    den = lcm(1, *(x.denominator for x in fracs.values()))
+    return den, {k: x.numerator * (den // x.denominator) for k, x in fracs.items()}
+
+
 def _to_int_row(frac_row):
     """A Fraction row times the lcm of its denominators, as a sparse integer row {column: int}."""
-    den = 1
-    for x in frac_row:
-        if x:
-            den = lcm(den, x.denominator)
-    return {j: x.numerator * (den // x.denominator) for j, x in enumerate(frac_row) if x}
+    return _cleared({j: x for j, x in enumerate(frac_row) if x})[1]
 
 
 def rref(rows):
@@ -383,8 +378,7 @@ def _word_ints(e, d):
         if type(word) is not tuple or not is_admissible_start(word):
             raise DomainError("word %s is not in the weight-%d admissible basis" % (word, d))
         coeffs[word] = cs[j]
-    den = lcm(1, *(c.denominator for c in coeffs.values()))
-    return den, {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
+    return _cleared(coeffs)
 
 
 def element_coordinates(e, basis):
@@ -557,12 +551,7 @@ def verify_numeric(basis, ctx, tables=None):
     share one suffix memo, tables if given (see evaluate.z_q).
     """
     tables = _suffix_tables(ctx, tables)
-    values = {}
-    tails = {}
-    for ix in basis.index_basis:
-        res = zbar_q(Element.from_word(ix), ctx, tables)
-        values[ix] = res.value
-        tails[ix] = res.tail_bound
+    results = {ix: zbar_q(Element.from_word(ix), ctx, tables) for ix in basis.index_basis}
     checks = []
     max_abs = 0.0
     for rno, row in enumerate(basis.rows):
@@ -570,8 +559,8 @@ def verify_numeric(basis, ctx, tables=None):
         allowed = ctx.tol
         for c, ix in zip(row, basis.index_basis):
             if c:
-                val += float(c) * values[ix]
-                allowed += abs(float(c)) * tails[ix]
+                val += float(c) * results[ix].value
+                allowed += abs(float(c)) * results[ix].tail_bound
         dev = abs(val)
         max_abs = max(max_abs, dev)
         checks.append(RowCheck(rno, dev, allowed, dev <= allowed))

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -292,6 +293,7 @@ def test_usage_error_exits_2():
         ("relations", "--weight", "9"),
         ("relations", "--weight", "x"),
         ("eval", "z2", "--N", "3.5"),
+        ("eval", "z2", "--N", "100001"),
         ("eval", "z2", "--tol", "abc"),
         ("eval", "z2", "--q", "1/0"),
         ("eval", "z2", "--q", "2"),
@@ -299,3 +301,14 @@ def test_usage_error_exits_2():
     ):
         proc = _run(*argv, expect=2)
         assert "_arg" not in proc.stderr, (argv, proc.stderr)
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # the reader of stdout is gone before the value is written: exit as SIGPIPE would, no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qmzv", "eval", "z2"], stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
