@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, QmzvError
-from .expr import _monomial_text, _signed_sum, format_element, parse_element
+from .expr import _monomial_text, _read_rational, _signed_sum, format_element, parse_element
 from .words import Element, a_words_of_degree, contract_to_a, expand_to_x, index_from_text, index_to_text, word_degree
 from .products import harmonic, shuffle, shuffle_x, star
 from .evaluate import QContext, _suffix_tables, l_value, z_q
@@ -45,11 +45,11 @@ def _checked(convert, text, ok, message):
 
 
 def _q_arg(text):
-    return _checked(Fraction, text, lambda q: 0 < q < 1, "q must be a rational with 0 < q < 1")
+    return _checked(_read_rational, text, lambda q: 0 < q < 1, "q must be a rational with 0 < q < 1")
 
 
 def _t_arg(text):
-    return _checked(Fraction, text, lambda t: abs(t) < 1, "t must be a rational with |t| < 1")
+    return _checked(_read_rational, text, lambda t: abs(t) < 1, "t must be a rational with |t| < 1")
 
 
 def _n_arg(text):

@@ -37,6 +37,13 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _read_rational(text):
+    """Fraction(text) for an integer, P/Q or a plain decimal read from outside; ValueError for an exponent, which would build 10^exponent."""
+    if "e" in text or "E" in text:
+        raise ValueError("%r has an exponent; write an integer, P/Q or a decimal" % text)
+    return Fraction(text)
+
+
 def _tokenize(text):
     tokens = []
     pos = 0

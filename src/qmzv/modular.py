@@ -4,12 +4,14 @@ The multimodular half of relations._int_echelon. Its sparse integer rows
 {column: int} are filled into one integer matrix, which is reduced mod
 primes just below 2^23 by blocked Gauss-Jordan elimination in float64 with
 delayed reduction (Dumas, Giorgi and Pernet 2008, FFLAS-FFPACK): panels of
-_PANEL columns, each factored in sub-blocks of _BLOCK columns, so that
-rank-1 updates touch one sub-block and matrix products do the rest. Each
-prime's residues are folded once into a running CRT (crt_step), and that is
-read by balanced rational reconstruction (Wang 1981; Monagan 2004). Nothing
-here is trusted: relations._int_echelon certifies the result exactly. This
-module imports numpy, so only the elimination of tall systems imports it.
+_PANEL columns, each eliminated once in sub-blocks of _BLOCK columns, so
+that rank-1 updates touch one sub-block and matrix products do the rest;
+the pivot search records its column operations, and they give the inverse
+of the panel's pivot block. Each prime's residues are folded once into a
+running CRT (crt_step), and that is read by balanced rational
+reconstruction (Wang 1981; Monagan 2004). Nothing here is trusted:
+relations._int_echelon certifies the result exactly. This module imports
+numpy, so only the elimination of tall systems imports it.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import numpy as np
 
 # Residues are kept balanced, within p/2 + 1 of zero (see _reduce). For
 # p < 2^23 a product of two is below 2^44.01, and a value takes at most
-# _PANEL of them before it is reduced again, so it stays below 2^52, where
-# float64 is exact and _reduce applies; a pivot row is scaled by an inverse
-# below p, one product below 2^46. A sub-block of _BLOCK columns (or rows)
-# adds at most _BLOCK products at once.
+# _PANEL of them before it is reduced again, so it stays below 2^51.01 (plus
+# one residue), where float64 is exact and _reduce applies: a product of two
+# reduced blocks at most _PANEL wide is one such value, and a sub-block of
+# _BLOCK columns adds at most _BLOCK products at once. A pivot column or a
+# diagonal is scaled by an inverse below p, one product below 2^46.
 _PRIME_BITS = 23
 _PANEL = 128
 _BLOCK = 16
@@ -76,17 +79,33 @@ def _reduce(x, p):
     return x
 
 
-def _panel_pivots(panel_t, p):
+def _lower_inverse(l, p):
+    """The inverse mod p of a lower triangular residue matrix l with a nonzero diagonal.
+
+    With D its diagonal, l = D (I - S) for a strictly lower triangular S, so
+    S^k = 0 and l^-1 = (I + S)(I + S^2)(I + S^4)... D^-1: about log2 k
+    products of k x k blocks, and no loop over the entries.
+    """
+    d = np.array([pow(int(x), -1, p) for x in np.diag(l)], dtype=np.float64)
+    s = np.tril(-_reduce(l * d[:, None], p), -1)
+    inverse = np.eye(len(l)) + s
+    while (s := _reduce(s @ s, p)).any():
+        inverse += inverse @ s
+        _reduce(inverse, p)
+    return _reduce(inverse * d, p)
+
+
+def _panel_pivots(panel_t, n, p):
     """(row, column) of each pivot of a transposed residue panel, in column order.
 
-    Gauss-Jordan on the panel in place, by sub-blocks of _BLOCK columns; a
-    column is reduced only when it is reached. Inside a sub-block each pivot
-    clears the later columns of that sub-block by a rank-1 update. The
-    sub-block's k pivots, the first nonzero rows t_1..t_k of its reduced
-    columns P_1..P_k, then clear the rest of the panel at once: each later
-    column c takes c - sum x_i P_i with x solving sum over i <= l of
-    x_i P_i[t_l] = c[t_l], a triangular system, as P_i[t_l] = 0 for l < i.
-    Each entry still takes at most one product per earlier pivot column.
+    Gauss-Jordan on the panel's columns in place, by sub-blocks of _BLOCK
+    columns; a column is reduced only when it is reached, and its pivot is
+    its first nonzero entry among the first n (the entries past n only
+    follow the column operations). Inside a sub-block each pivot clears the
+    later columns of that sub-block by a rank-1 update. The sub-block's k
+    pivots, the first nonzero rows t of its reduced columns P, then clear
+    the rest of the panel at once: a later column c takes c - x P, where
+    x T = c[t] for T = P[:, t], upper triangular as P_i[t_l] = 0 for l < i.
     """
     found = []
     for b0 in range(0, len(panel_t), _BLOCK):
@@ -94,7 +113,7 @@ def _panel_pivots(panel_t, p):
         new = []
         for j in range(len(block)):
             col = _reduce(block[j], p)
-            hits = np.flatnonzero(col)
+            hits = np.flatnonzero(col[:n])
             if hits.size:
                 t = hits[0]
                 lead = _reduce(_reduce(block[j + 1 :, t].copy(), p) * pow(int(col[t]), -1, p), p)
@@ -104,39 +123,8 @@ def _panel_pivots(panel_t, p):
         if new and len(rest):
             ts = [t for t, _ in new]
             piv = block[[j for _, j in new]]
-            tri = piv[:, ts]
-            x = _reduce(rest[:, ts], p)
-            for i in range(len(new)):
-                if i:
-                    x[:, i] -= x[:, :i] @ tri[:i, i]
-                    _reduce(x[:, i], p)
-                x[:, i] *= pow(int(tri[i, i]), -1, p)
-                _reduce(x[:, i], p)
-            rest -= x @ piv
+            rest -= _reduce(_reduce(rest[:, ts], p) @ _lower_inverse(piv[:, ts].T, p).T, p) @ piv
     return found
-
-
-def _pivot_rows(b, cols, p):
-    """Gauss-Jordan of residue rows b in place, the pivot of row s at column cols[s].
-
-    The pivot entries must be units once the rows before them are eliminated.
-    Rows are taken in sub-blocks of _BLOCK: a sub-block is reduced among its
-    own rows, then one matrix product clears its pivot columns in every other row.
-    """
-    for s0 in range(0, len(cols), _BLOCK):
-        block, bcols = b[s0 : s0 + _BLOCK], cols[s0 : s0 + _BLOCK]
-        for s, c in enumerate(bcols):
-            row = _reduce(block[s], p)
-            row *= pow(int(row[c]), -1, p)
-            _reduce(row, p)
-            col = _reduce(block[:, c].copy(), p)
-            col[s] = 0
-            block -= np.outer(col, row)
-        _reduce(block, p)
-        others = np.r_[0:s0, s0 + len(bcols) : len(b)]
-        b[others] -= _reduce(b[np.ix_(others, bcols)], p) @ block
-        _reduce(b, p)
-    return b
 
 
 def rref_mod(a, p):
@@ -145,24 +133,27 @@ def rref_mod(a, p):
     The input rows are the rows of a in which the pivots were found, one per
     pivot; mod p they span the row space of a, so they alone have the same RREF.
 
-    Blocked Gauss-Jordan over panels of _PANEL columns. A panel's pivots are
-    found among the rows that are no pivot yet. Their block X in the pivot
-    columns has unit leading minors, since each pivot was found after the
-    ones before it, so those rows reduce to X^-1 times themselves, and one
-    matrix product clears the panel's pivot columns in every other row.
-    Each row stays its input row plus a combination of earlier pivot rows.
+    Blocked Gauss-Jordan over panels of _PANEL columns, each eliminated once.
+    A panel's pivots are found among the rows that are no pivot yet, by
+    _panel_pivots on the transposed panel and an identity that records its
+    column operations U. Read at the pivot rows, X U is lower triangular with
+    a nonzero diagonal for the panel's pivot block X, so the pivot rows
+    reduce to X^-1 = U (X U)^-1 times themselves, and one matrix product
+    clears the panel's pivot columns in every other row. Each row stays its
+    input row plus a combination of earlier pivot rows.
     """
     a = _reduce((a % p).astype(np.float64), p)
     free = np.arange(a.shape[0])
     rows, cols = [], []
     for j0 in range(0, a.shape[1], _PANEL):
-        found = _panel_pivots(a[free, j0 : j0 + _PANEL].T.copy(), p)
+        panel = np.hstack([a[free, j0 : j0 + _PANEL].T, np.eye(min(_PANEL, a.shape[1] - j0))])
+        found = _panel_pivots(panel, len(free), p)
         if not found:
             continue
-        prow = free[[t for t, _ in found]]
-        pcol = [j0 + j for _, j in found]
-        k = len(found)
-        inverse = _pivot_rows(np.hstack([a[np.ix_(prow, pcol)], np.eye(k)]), range(k), p)[:, k:]
+        ts, js = [t for t, _ in found], [j for _, j in found]
+        piv = panel[js]
+        inverse = _reduce(piv[:, len(free) + np.array(js)].T @ _lower_inverse(piv[:, ts].T, p), p)
+        prow, pcol = free[ts], [j0 + j for j in js]
         lead = _reduce(inverse @ a[prow, j0:], p)
         rest = a[:, j0:]
         rest -= a[:, pcol] @ lead

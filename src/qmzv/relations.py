@@ -23,6 +23,7 @@ from .words import _RHO_EXPANSION, Element, _collect, a_words_of_degree, index_f
 from .words import is_admissible_index, is_admissible_start, word_degree, word_in_space, word_to_index
 from .products import _HARMONIC, _SHUFFLE, _phi, _quasi_shuffle_words, harmonic  # noqa: F401 (harmonic: a binding callers use)
 from .evaluate import _suffix_tables, zbar_q
+from .expr import _read_rational
 
 
 @dataclass(frozen=True)
@@ -514,12 +515,12 @@ def relation_basis_from_doc(doc):
         if type(lifts) is not bool:
             raise TypeError("hbar_lifts must be true or false, not %r" % (lifts,))
         index_basis = tuple(index_from_text(_text(t)) for t in doc["index_basis"])
-        rows = tuple(tuple(Fraction(_text(c)) for c in row) for row in doc["relations"])
+        rows = tuple(tuple(_read_rational(_text(c)) for c in row) for row in doc["relations"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("malformed relation document: %s" % exc) from exc
-    # the weight-d index basis has 2^(d-1) entries; checking that first keeps a
-    # large stated weight from enumerating its whole basis
-    if len(index_basis) != 2 ** (weight - 1) or index_basis != _h0_columns(enumerate_basis(weight))[1]:
+    # the weight-d index basis has 2^(d-1) entries, d bits; checking the bit
+    # length first keeps a large stated weight from building 2^d or its basis
+    if len(index_basis).bit_length() != weight or len(index_basis) != 2 ** (weight - 1) or index_basis != _h0_columns(enumerate_basis(weight))[1]:
         raise ValueError("index basis is not the weight-%d admissible index basis" % weight)
     for row in rows:
         if len(row) != len(index_basis):

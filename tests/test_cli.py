@@ -204,6 +204,20 @@ def test_eval_rejects_bad_q():
     _run("eval", "z2", "--N", "5", expect=2)
 
 
+def test_exponent_notation_is_refused_at_once():
+    # Fraction would build 10^3000000 first: eval then failed later with another
+    # message, and polylog printed past Python's 4300-digit conversion limit
+    for argv, message in (
+        (("eval", "z2", "--q", "1e-3000000"), "q must be a rational with 0 < q < 1"),
+        (("polylog", "z2", "--t", "1E-3000000"), "t must be a rational with |t| < 1"),
+    ):
+        proc = _run(*argv, expect=2)
+        assert message in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+    # integers, P/Q and plain decimals read as before
+    assert _main("eval", "z2", "--q", "0.5") == _main("eval", "z2", "--q", "1/2")
+    assert _main("polylog", "z2", "--t", "0") == _main("polylog", "z2", "--t", "0/3")
+
+
 def test_polylog_matches_library():
     from fractions import Fraction
 

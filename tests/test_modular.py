@@ -58,6 +58,28 @@ def test_rref_mod_equals_unblocked_gauss_jordan():
         nrows = (ncols + 3, ncols // 2 + 1)[i % 2]
         rank = (ncols, ncols // 3, ncols - 2)[i % 3]
         _assert_matches_reference(_planted(rng, nrows, ncols, rank, (3, 40)[i // 2 % 2]), ncols, p)
+    # a panel with no pivot (columns 128..255 zero) between two panels with pivots
+    rows = _planted(rng, 140, 300, 135, 3)
+    for row in rows:
+        row[128:256] = [0] * 128
+    for p in (7, primes[2]):
+        _assert_matches_reference(rows, 300, p)
+    # full rank with every entry +-(p - 1)/2, the largest residues, for the largest prime
+    p = primes[2]
+    rows = [[rng.choice((1, -1)) * (p - 1) // 2 for _ in range(129)] for _ in range(131)]
+    assert len(_gauss_jordan(rows, 129, p)[0]) == 129
+    _assert_matches_reference(rows, 129, p)
+
+
+def test_lower_inverse_is_the_inverse_mod_p():
+    rng = random.Random(5)
+    for p, n in itertools.product((7, next(modular.primes())), (1, 2, 3, 16, 17, 128)):
+        half = p // 2
+        l = np.tril([[rng.randint(-half, half) for _ in range(n)] for _ in range(n)]).astype(np.float64)
+        np.fill_diagonal(l, [rng.choice((-1, 1)) * rng.randint(2, half) for _ in range(n)])  # nonzero, not 1
+        inverse = modular._lower_inverse(l.copy(), p)
+        assert np.all(np.abs(inverse) <= half + 1) and not np.triu(inverse, 1).any()
+        assert ((l.astype(np.int64) @ inverse.astype(np.int64)) % p).tolist() == np.eye(n, dtype=np.int64).tolist()
 
 
 def test_rref_mod_on_degenerate_shapes():

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 from math import lcm, prod
 
@@ -646,6 +647,26 @@ def test_deserialization_rejects_malformed_documents():
         mutate(doc)
         with pytest.raises(ValueError):
             relation_basis_from_doc(doc)
+
+
+def test_a_large_stated_weight_is_refused_before_anything_of_its_size():
+    # 2 ** (weight - 1) alone took 8 s and 429 MB for a document this short
+    doc = {"weight": 1_000_000_000, "mode": {"hbar_lifts": True}, "index_basis": [], "relations": []}
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="index basis is not the weight-1000000000 admissible index basis"):
+        relation_basis_from_doc(doc)
+    assert time.perf_counter() - start < 1
+
+
+def test_coefficients_in_exponent_notation_are_refused_at_once():
+    # Fraction would build 10^3000000 before anything is checked
+    doc = relation_basis_to_doc(relation_basis(3))
+    doc["relations"][0][1] = "1e3000000"
+    with pytest.raises(ValueError, match="malformed relation document: '1e3000000' has an exponent"):
+        relation_basis_from_doc(doc)
+    # integers, P/Q and plain decimals read as before
+    doc["relations"][0][1:3] = ["-0.25", "3/4"]
+    assert relation_basis_from_doc(doc).rows[0][1:3] == (Fraction(-1, 4), Fraction(3, 4))
 
 
 # sha256 of json.dumps(relation_basis_to_doc(...), indent=2) at weights 2..6:
